@@ -19,8 +19,8 @@
 
 /// Computes the 10-bit AAL3/4 SAR CRC over `data`.
 ///
-/// Bitwise (MSB-first) implementation of `x^10+x^9+x^5+x^4+x+1`
-/// (polynomial bits `0x633`), zero initial value.
+/// MSB-first CRC with generator `x^10+x^9+x^5+x^4+x+1` (polynomial
+/// bits `0x633`), zero initial value; see [`crc10_bits`].
 ///
 /// # Examples
 ///
@@ -43,26 +43,96 @@ pub fn crc10(data: &[u8]) -> u16 {
 /// 6-bit length indicator and the 10-bit CRC into two bytes, so the
 /// CRC covers a bit count that is not a multiple of eight.
 ///
+/// Whole bytes go through byte-indexed tables, four bytes per step
+/// (slice-by-4), then one byte per step for the remainder; the
+/// trailing `nbits % 8` bits (six for a SAR cell's 46×8+6) run
+/// bit-serially. The result equals [`crc10_bits_serial`] for every
+/// input.
+///
 /// # Panics
 ///
 /// Panics if `nbits` exceeds the available bits.
 #[must_use]
 pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
     assert!(nbits <= data.len() * 8, "nbits out of range");
-    // Non-augmented bit-serial form: feedback is the register's top
-    // bit XOR the input bit; appending the CRC itself then divides to
-    // zero. Polynomial bits below x^10: x^9+x^5+x^4+x+1 = 0x233.
+    let (whole, tail_bits) = (nbits / 8, nbits % 8);
+    let mut words = data[..whole].chunks_exact(4);
     let mut crc: u16 = 0;
-    for i in 0..nbits {
-        let bit = (data[i / 8] >> (7 - i % 8)) & 1;
+    for word in &mut words {
+        // The register meets the word's top ten bits. By linearity
+        // each byte of the sum contributes on its own: the byte `k`
+        // places from the end leaves `CRC10_TABLES[k]`.
+        let x = (u32::from(crc) << 22) ^ u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        crc = CRC10_TABLES[3][(x >> 24) as usize]
+            ^ CRC10_TABLES[2][(x >> 16) as u8 as usize]
+            ^ CRC10_TABLES[1][(x >> 8) as u8 as usize]
+            ^ CRC10_TABLES[0][x as u8 as usize];
+    }
+    for &byte in words.remainder() {
+        let idx = ((crc >> 2) as u8 ^ byte) as usize;
+        crc = ((crc << 8) & 0x3ff) ^ CRC10_TABLES[0][idx];
+    }
+    if tail_bits > 0 {
+        crc = crc10_step_bits(crc, data[whole], tail_bits);
+    }
+    crc
+}
+
+/// The bit-serial CRC-10: one shift per input bit. It defines the
+/// CRC that [`crc10_bits`] computes from tables and is kept as the
+/// oracle its differential tests compare against.
+///
+/// # Panics
+///
+/// Panics if `nbits` exceeds the available bits.
+#[must_use]
+pub fn crc10_bits_serial(data: &[u8], nbits: usize) -> u16 {
+    assert!(nbits <= data.len() * 8, "nbits out of range");
+    let mut crc: u16 = 0;
+    for (i, &byte) in data.iter().enumerate().take(nbits.div_ceil(8)) {
+        crc = crc10_step_bits(crc, byte, (nbits - i * 8).min(8));
+    }
+    crc
+}
+
+/// Feeds the top `n` bits of `byte` (MSB first) through the CRC-10
+/// register.
+///
+/// Non-augmented bit-serial form: feedback is the register's top bit
+/// XOR the input bit; appending the CRC itself then divides to zero.
+/// Polynomial bits below x^10: x^9+x^5+x^4+x+1 = 0x233.
+const fn crc10_step_bits(mut crc: u16, byte: u8, n: usize) -> u16 {
+    let mut i = 0;
+    while i < n {
+        let bit = (byte >> (7 - i)) & 1;
         let feedback = ((crc >> 9) as u8 ^ bit) & 1;
         crc = (crc << 1) & 0x3ff;
         if feedback != 0 {
             crc ^= 0x233;
         }
+        i += 1;
     }
     crc
 }
+
+/// `CRC10_TABLES[k][b]`: the register after byte `b` and then `k`
+/// zero bytes, from a zero register. By linearity, a register whose
+/// top eight bits are XORed with the next input byte advances by
+/// `CRC10_TABLES[0]`, and a 32-bit window by the XOR of four lookups.
+const CRC10_TABLES: [[u16; 256]; 4] = {
+    let mut tables = [[0u16; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        tables[0][i] = crc10_step_bits(0, i as u8, 8);
+        let mut k = 1;
+        while k < 4 {
+            tables[k][i] = crc10_step_bits(tables[k - 1][i], 0, 8);
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+};
 
 /// Verifies a buffer whose final 10 bits carry its CRC-10, AAL3/4
 /// style: including the CRC makes the whole divide to zero.

@@ -130,7 +130,7 @@ impl World {
             (t.snd_nxt, t.rcv_nxt)
         };
         {
-            let t = kernels[1].tcb_mut(sock_s);
+            let mut t = kernels[1].tcb_mut(sock_s);
             t.rcv_nxt = c_snd;
             t.snd_una = c_rcv;
             t.snd_nxt = c_rcv;

@@ -16,12 +16,20 @@
 //!   updates;
 //! - [`Kernel::check_timers`] — delayed ACKs and retransmission.
 //!
+//! The paper's PCB search is charged in simulated time from the PCB
+//! table's lookup receipt. The host-side bookkeeping is indexed so a
+//! kernel's cost per event does not grow with its connection count:
+//! a dense PCB-id → socket map demultiplexes segments, and a
+//! deadline index keeps each connection's earliest timer, re-filed
+//! for exactly the sockets a kernel call touched.
+//!
 //! Every step charges calibrated DECstation time and records the
 //! paper's spans. Time flows as a *cursor*: a path starts at
 //! `max(event time, cpu busy)`, advances as costs are charged, and
 //! the whole interval is committed to the CPU at the end.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 
 use decstation::{CostModel, CostTables};
 use mbuf::chain::ultrix_uses_clusters;
@@ -97,6 +105,99 @@ struct Conn {
     time_wait_deadline: Option<SimTime>,
 }
 
+impl Conn {
+    /// The earliest of the delayed-ACK, retransmit, persist and
+    /// TIME-WAIT deadlines.
+    fn earliest_deadline(&self) -> Option<SimTime> {
+        [
+            self.delack_deadline,
+            self.tcb.rexmt_deadline,
+            self.tcb.persist_deadline,
+            self.time_wait_deadline,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+}
+
+/// The connections' timers, ordered by deadline: one entry per socket
+/// with any timer armed, filed under the earliest of its four
+/// deadlines. The kernel re-files a socket after every call that
+/// touched it, so the next deadline is the first entry and the due
+/// sockets are a prefix.
+#[derive(Default)]
+struct DeadlineIndex {
+    /// Per socket, the deadline it is filed under in `queue`.
+    filed: Vec<Option<SimTime>>,
+    queue: BTreeSet<(SimTime, SockId)>,
+}
+
+impl DeadlineIndex {
+    /// Re-files `sock` under `conn`'s earliest deadline.
+    fn refile(&mut self, sock: SockId, conn: &Conn) {
+        if self.filed.len() <= sock {
+            self.filed.resize(sock + 1, None);
+        }
+        let new = conn.earliest_deadline();
+        let old = std::mem::replace(&mut self.filed[sock], new);
+        if old == new {
+            return;
+        }
+        if let Some(t) = old {
+            self.queue.remove(&(t, sock));
+        }
+        if let Some(t) = new {
+            self.queue.insert((t, sock));
+        }
+    }
+
+    fn earliest(&self) -> Option<SimTime> {
+        self.queue.first().map(|&(t, _)| t)
+    }
+
+    /// Sockets with a deadline at or before `now`, in ascending
+    /// socket order.
+    fn due(&self, now: SimTime) -> Vec<SockId> {
+        let mut due: Vec<SockId> = self
+            .queue
+            .range(..=(now, SockId::MAX))
+            .map(|&(_, sock)| sock)
+            .collect();
+        due.sort_unstable();
+        due
+    }
+}
+
+/// Mutable access to one connection's TCP state, from
+/// [`Kernel::tcb_mut`]. Dropping it re-files the connection's timers,
+/// so an edited deadline shows in [`Kernel::next_deadline`].
+pub struct TcbMut<'k> {
+    conn: &'k mut Conn,
+    deadlines: &'k mut DeadlineIndex,
+    sock: SockId,
+}
+
+impl Deref for TcbMut<'_> {
+    type Target = Tcb;
+
+    fn deref(&self) -> &Tcb {
+        &self.conn.tcb
+    }
+}
+
+impl DerefMut for TcbMut<'_> {
+    fn deref_mut(&mut self) -> &mut Tcb {
+        &mut self.conn.tcb
+    }
+}
+
+impl Drop for TcbMut<'_> {
+    fn drop(&mut self) {
+        self.deadlines.refile(self.sock, self.conn);
+    }
+}
+
 /// Outcome of a write syscall.
 #[derive(Debug)]
 pub struct TxOutcome {
@@ -147,7 +248,7 @@ pub struct TxEmission {
 }
 
 /// Aggregate kernel counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Datagrams enqueued to the IP input queue.
     pub ipq_enqueued: u64,
@@ -204,6 +305,13 @@ pub struct Kernel {
     /// Counters.
     pub stats: KernelStats,
     conns: Vec<Conn>,
+    /// The connection each PCB id belongs to; `None` for ambient
+    /// PCBs, which have no connection.
+    sock_of_pcb: Vec<Option<SockId>>,
+    deadlines: DeadlineIndex,
+    /// Sockets the running software interrupt demultiplexed to,
+    /// re-filed in `deadlines` when it ends.
+    touched: Vec<SockId>,
     udp_socks: Vec<UdpSock>,
     ipq: VecDeque<(Chain, SimTime)>,
     /// A software interrupt has been raised and not yet serviced.
@@ -234,6 +342,9 @@ impl Kernel {
             pcbs,
             stats: KernelStats::default(),
             conns: Vec::new(),
+            sock_of_pcb: Vec::new(),
+            deadlines: DeadlineIndex::default(),
+            touched: Vec::new(),
             udp_socks: Vec::new(),
             ipq: VecDeque::new(),
             softintr_pending: false,
@@ -251,14 +362,35 @@ impl Kernel {
     pub fn create_connection(&mut self, key: PcbKey, mss: usize) -> SockId {
         let id = self.pcbs.insert(key);
         let tcb = Tcb::established(key, id, mss, &self.cfg);
+        let cksum_off = matches!(self.cfg.checksum, ChecksumMode::None);
+        self.add_conn(tcb, cksum_off)
+    }
+
+    /// Adds a connection for `tcb` and maps its PCB id to it.
+    fn add_conn(&mut self, tcb: Tcb, cksum_off: bool) -> SockId {
+        let sock = self.conns.len();
+        if self.sock_of_pcb.len() <= tcb.id {
+            self.sock_of_pcb.resize(tcb.id + 1, None);
+        }
+        self.sock_of_pcb[tcb.id] = Some(sock);
         self.conns.push(Conn {
             tcb,
             sock: crate::socket::Socket::new(self.cfg.sockbuf),
             delack_deadline: None,
-            cksum_off: matches!(self.cfg.checksum, ChecksumMode::None),
+            cksum_off,
             time_wait_deadline: None,
         });
-        self.conns.len() - 1
+        sock
+    }
+
+    /// The connection that owns PCB `id`, if any.
+    fn sock_of(&self, id: usize) -> Option<SockId> {
+        self.sock_of_pcb.get(id).copied().flatten()
+    }
+
+    /// Re-files `sock`'s timers after a call touched it.
+    fn refile(&mut self, sock: SockId) {
+        self.deadlines.refile(sock, &self.conns[sock]);
     }
 
     /// Passive open: installs a listener on `laddr:port` (a wildcard
@@ -272,14 +404,7 @@ impl Kernel {
         };
         let id = self.pcbs.insert(key);
         let tcb = Tcb::listener(key, id, &self.cfg);
-        self.conns.push(Conn {
-            tcb,
-            sock: crate::socket::Socket::new(self.cfg.sockbuf),
-            delack_deadline: None,
-            cksum_off: false,
-            time_wait_deadline: None,
-        });
-        self.conns.len() - 1
+        self.add_conn(tcb, false)
     }
 
     /// Active open: sends a SYN carrying our MSS offer and, when the
@@ -295,15 +420,9 @@ impl Kernel {
         // Derive a per-connection ISS from the configured base.
         let iss = self.cfg.iss.wrapping_add(u32::from(key.lport) << 8);
         let tcb = Tcb::syn_sent(key, id, mss_offer, iss, &self.cfg);
-        self.conns.push(Conn {
-            tcb,
-            sock: crate::socket::Socket::new(self.cfg.sockbuf),
-            delack_deadline: None,
-            cksum_off: false,
-            time_wait_deadline: None,
-        });
-        let sock = self.conns.len() - 1;
+        let sock = self.add_conn(tcb, false);
         cursor = self.send_syn(cursor, sock, false, drv);
+        self.refile(sock);
         self.cpu.occupy(start, cursor, CpuBand::Process);
         sock
     }
@@ -382,8 +501,12 @@ impl Kernel {
     /// administratively (the paper measures established connections
     /// only).
     #[must_use]
-    pub fn tcb_mut(&mut self, sock: SockId) -> &mut Tcb {
-        &mut self.conns[sock].tcb
+    pub fn tcb_mut(&mut self, sock: SockId) -> TcbMut<'_> {
+        TcbMut {
+            conn: &mut self.conns[sock],
+            deadlines: &mut self.deadlines,
+            sock,
+        }
     }
 
     /// Segments retransmitted, summed over every TCP connection —
@@ -490,6 +613,7 @@ impl Kernel {
 
         // TCP output.
         cursor = self.tcp_output(cursor, sock, drv);
+        self.refile(sock);
 
         self.spans.mark(Mark::WriteEnd, cursor);
         self.cpu.occupy(start, cursor, CpuBand::Process);
@@ -745,6 +869,9 @@ impl Kernel {
             cursor = self.ip_input(cursor, chain, first_dgram, drv, &mut out);
             first_dgram = false;
         }
+        while let Some(sock) = self.touched.pop() {
+            self.refile(sock);
+        }
         self.cpu.occupy(start, cursor, CpuBand::SoftIntr);
         out.done_at = cursor;
         out
@@ -888,18 +1015,16 @@ impl Kernel {
             }
             us
         };
-        let Some(pcb_id) = receipt.id else {
+        // An ambient PCB matches but owns no connection: the search
+        // is paid, the segment dropped.
+        let Some(sock) = receipt.id.and_then(|id| self.sock_of(id)) else {
             self.stats.no_pcb_drops += 1;
             let cost = SimTime::from_us_f64(lookup_us);
             self.spans
                 .span(SpanKind::RxTcpSegment, cursor, cursor + cost);
             return cursor + cost;
         };
-        let sock = self
-            .conns
-            .iter()
-            .position(|c| c.tcb.id == pcb_id)
-            .expect("pcb id maps to a connection");
+        self.touched.push(sock);
 
         // Passive-open completion: the final ACK of the handshake.
         {
@@ -1138,6 +1263,7 @@ impl Kernel {
         if conn.tcb.window_update_due(space) {
             conn.tcb.acknow = true;
             cursor = self.tcp_output(cursor, sock, drv);
+            self.refile(sock);
         }
 
         // The probe point is the return to user space, after any
@@ -1158,120 +1284,135 @@ impl Kernel {
 
     /// Fires due timers (delayed ACK, retransmit). Returns the next
     /// deadline, if any.
+    ///
+    /// Only sockets filed at or before `now` can have a due timer;
+    /// they are served in ascending socket order, as a walk over
+    /// every connection would serve them.
     pub fn check_timers(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> Option<SimTime> {
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
-        for sock in 0..self.conns.len() {
-            let conn = &mut self.conns[sock];
-            if let Some(dl) = conn.delack_deadline {
-                if dl <= now && conn.tcb.delack {
-                    conn.tcb.acknow = true;
-                    conn.delack_deadline = None;
-                    self.stats.delack_fires += 1;
-                    cursor = self.tcp_output(cursor, sock, drv);
-                } else if dl <= now {
-                    conn.delack_deadline = None;
-                }
-            }
-            let conn = &mut self.conns[sock];
-            if let Some(dl) = conn.tcb.persist_deadline {
-                if dl <= now && conn.tcb.flight_size() == 0 && !conn.sock.snd.is_empty() {
-                    // Zero-window probe: force one byte past the
-                    // closed window (BSD's persist output).
-                    conn.tcb.persist_deadline = None;
-                    let saved_wnd = conn.tcb.snd_wnd;
-                    let saved_cwnd = conn.tcb.cwnd;
-                    conn.tcb.snd_wnd = conn.tcb.snd_wnd.max(1);
-                    conn.tcb.cwnd = conn.tcb.cwnd.max(1);
-                    cursor = self.tcp_output(cursor.max(now), sock, drv);
-                    let conn = &mut self.conns[sock];
-                    // Restore the real window; the probe's ACK will
-                    // refresh it through `process_ack`.
-                    conn.tcb.snd_wnd = saved_wnd;
-                    conn.tcb.cwnd = saved_cwnd;
-                    // Re-arm until the window reopens.
-                    if conn.tcb.snd_wnd == 0 {
-                        conn.tcb.persist_deadline =
-                            Some(cursor + SimTime::from_us(self.cfg.rto_min_us));
-                    }
-                    continue;
-                } else if dl <= now {
-                    conn.tcb.persist_deadline = None;
-                }
-            }
-            let conn = &mut self.conns[sock];
-            if let Some(dl) = conn.time_wait_deadline {
-                if dl <= now {
-                    self.reclaim(sock);
-                    continue;
-                }
-            }
-            let conn = &mut self.conns[sock];
-            if let Some(dl) = conn.tcb.rexmt_deadline {
-                use crate::tcb::TcpState;
-                // Retransmission limit (BSD TCP_MAXRXTSHIFT): when the
-                // backoff is already at the cap and the timer fires
-                // again, drop the connection with ETIMEDOUT. This is
-                // the liveness guarantee — no fault schedule can make
-                // a run retry forever.
-                if dl <= now
-                    && conn.tcb.rexmt_shift >= self.cfg.max_rexmt_shift
-                    && conn.tcb.state != TcpState::Closed
-                {
-                    self.abort_connection(sock, cursor.max(now));
-                    continue;
-                }
-                if dl <= now && matches!(conn.tcb.state, TcpState::FinWait1 | TcpState::LastAck) {
-                    // FIN retransmission (backed off like data, so the
-                    // abort limit above is reachable).
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
-                    cursor = self.send_fin(cursor.max(now), sock, drv);
-                    continue;
-                }
-                if dl <= now && matches!(conn.tcb.state, TcpState::SynSent | TcpState::SynReceived)
-                {
-                    // Handshake retransmission.
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
-                    let synack = conn.tcb.state == crate::tcb::TcpState::SynReceived;
-                    cursor = self.send_syn(cursor, sock, synack, drv);
-                    continue;
-                }
-                if dl <= now && conn.tcb.flight_size() > 0 {
-                    // RTO: back off, shrink the window, resend. Karn:
-                    // the retransmit cancels the RTT measurement and
-                    // pins the recovery point.
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.ssthresh = (conn.tcb.flight_size() / 2).max(2 * conn.tcb.mss);
-                    conn.tcb.cwnd = conn.tcb.mss;
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
-                    conn.tcb.on_rto();
-                    cursor = self.tcp_output(cursor, sock, drv);
-                } else if dl <= now {
-                    conn.tcb.rexmt_deadline = None;
-                }
-            }
+        for sock in self.deadlines.due(now) {
+            cursor = self.fire_timers(sock, now, cursor, drv);
+            self.refile(sock);
         }
         if cursor > start {
             self.cpu.occupy(start, cursor, CpuBand::Process);
         }
         self.next_deadline()
+    }
+
+    /// Fires whichever of `sock`'s timers are due at `now`, with the
+    /// CPU at `cursor`. Returns the advanced cursor.
+    fn fire_timers(
+        &mut self,
+        sock: SockId,
+        now: SimTime,
+        mut cursor: SimTime,
+        drv: &mut dyn TxDriver,
+    ) -> SimTime {
+        let conn = &mut self.conns[sock];
+        if let Some(dl) = conn.delack_deadline {
+            if dl <= now && conn.tcb.delack {
+                conn.tcb.acknow = true;
+                conn.delack_deadline = None;
+                self.stats.delack_fires += 1;
+                cursor = self.tcp_output(cursor, sock, drv);
+            } else if dl <= now {
+                conn.delack_deadline = None;
+            }
+        }
+        let conn = &mut self.conns[sock];
+        if let Some(dl) = conn.tcb.persist_deadline {
+            if dl <= now && conn.tcb.flight_size() == 0 && !conn.sock.snd.is_empty() {
+                // Zero-window probe: force one byte past the
+                // closed window (BSD's persist output).
+                conn.tcb.persist_deadline = None;
+                let saved_wnd = conn.tcb.snd_wnd;
+                let saved_cwnd = conn.tcb.cwnd;
+                conn.tcb.snd_wnd = conn.tcb.snd_wnd.max(1);
+                conn.tcb.cwnd = conn.tcb.cwnd.max(1);
+                cursor = self.tcp_output(cursor.max(now), sock, drv);
+                let conn = &mut self.conns[sock];
+                // Restore the real window; the probe's ACK will
+                // refresh it through `process_ack`.
+                conn.tcb.snd_wnd = saved_wnd;
+                conn.tcb.cwnd = saved_cwnd;
+                // Re-arm until the window reopens.
+                if conn.tcb.snd_wnd == 0 {
+                    conn.tcb.persist_deadline =
+                        Some(cursor + SimTime::from_us(self.cfg.rto_min_us));
+                }
+                return cursor;
+            } else if dl <= now {
+                conn.tcb.persist_deadline = None;
+            }
+        }
+        let conn = &mut self.conns[sock];
+        if let Some(dl) = conn.time_wait_deadline {
+            if dl <= now {
+                self.reclaim(sock);
+                return cursor;
+            }
+        }
+        let conn = &mut self.conns[sock];
+        if let Some(dl) = conn.tcb.rexmt_deadline {
+            use crate::tcb::TcpState;
+            // Retransmission limit (BSD TCP_MAXRXTSHIFT): when the
+            // backoff is already at the cap and the timer fires
+            // again, drop the connection with ETIMEDOUT. This is
+            // the liveness guarantee — no fault schedule can make
+            // a run retry forever.
+            if dl <= now
+                && conn.tcb.rexmt_shift >= self.cfg.max_rexmt_shift
+                && conn.tcb.state != TcpState::Closed
+            {
+                self.abort_connection(sock, cursor.max(now));
+                return cursor;
+            }
+            if dl <= now && matches!(conn.tcb.state, TcpState::FinWait1 | TcpState::LastAck) {
+                // FIN retransmission (backed off like data, so the
+                // abort limit above is reachable).
+                self.stats.rto_fires += 1;
+                self.taps.trigger(simcap::TriggerReason::Rto, now);
+                conn.tcb.stats.rexmits += 1;
+                conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
+                conn.tcb.note_retransmit();
+                conn.tcb.snd_nxt = conn.tcb.snd_una;
+                conn.tcb.rexmt_deadline = None;
+                return self.send_fin(cursor.max(now), sock, drv);
+            }
+            if dl <= now && matches!(conn.tcb.state, TcpState::SynSent | TcpState::SynReceived) {
+                // Handshake retransmission.
+                self.stats.rto_fires += 1;
+                self.taps.trigger(simcap::TriggerReason::Rto, now);
+                conn.tcb.stats.rexmits += 1;
+                conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
+                conn.tcb.note_retransmit();
+                conn.tcb.snd_nxt = conn.tcb.snd_una;
+                conn.tcb.rexmt_deadline = None;
+                let synack = conn.tcb.state == crate::tcb::TcpState::SynReceived;
+                return self.send_syn(cursor, sock, synack, drv);
+            }
+            if dl <= now && conn.tcb.flight_size() > 0 {
+                // RTO: back off, shrink the window, resend. Karn:
+                // the retransmit cancels the RTT measurement and
+                // pins the recovery point.
+                self.stats.rto_fires += 1;
+                self.taps.trigger(simcap::TriggerReason::Rto, now);
+                conn.tcb.stats.rexmits += 1;
+                conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
+                conn.tcb.note_retransmit();
+                conn.tcb.ssthresh = (conn.tcb.flight_size() / 2).max(2 * conn.tcb.mss);
+                conn.tcb.cwnd = conn.tcb.mss;
+                conn.tcb.snd_nxt = conn.tcb.snd_una;
+                conn.tcb.rexmt_deadline = None;
+                conn.tcb.on_rto();
+                cursor = self.tcp_output(cursor, sock, drv);
+            } else if dl <= now {
+                conn.tcb.rexmt_deadline = None;
+            }
+        }
+        cursor
     }
 
     /// Closes a connection: sends a FIN (after any buffered data has
@@ -1288,6 +1429,7 @@ impl Kernel {
         };
         self.conns[sock].tcb.state = next;
         let cursor = self.send_fin(start, sock, drv);
+        self.refile(sock);
         self.cpu.occupy(start, cursor, CpuBand::Process);
     }
 
@@ -1704,10 +1846,11 @@ impl Kernel {
                 self.stats.no_pcb_drops += 1;
                 return cursor;
             };
-            let Some(sock) = self.conns.iter().position(|c| c.tcb.id == pcb_id) else {
+            let Some(sock) = self.sock_of(pcb_id) else {
                 self.stats.no_pcb_drops += 1;
                 return cursor;
             };
+            self.touched.push(sock);
             let conn = &mut self.conns[sock];
             if conn.tcb.state != crate::tcb::TcpState::SynSent
                 || hdr.ack != conn.tcb.snd_una.wrapping_add(1)
@@ -1742,7 +1885,8 @@ impl Kernel {
             // A retransmitted SYN for an existing embryo: resend the
             // SYN-ACK rather than spawning a duplicate.
             if let Some(id) = self.pcbs.lookup(&key).id {
-                if let Some(sock) = self.conns.iter().position(|c| c.tcb.id == id) {
+                if let Some(sock) = self.sock_of(id) {
+                    self.touched.push(sock);
                     let c = &mut self.conns[sock];
                     c.tcb.snd_nxt = c.tcb.snd_una;
                     return self.send_syn(cursor, sock, true, drv);
@@ -1759,14 +1903,8 @@ impl Kernel {
             tcb.state = crate::tcb::TcpState::SynReceived;
             tcb.rcv_nxt = hdr.seq.wrapping_add(1);
             tcb.snd_wnd = usize::from(hdr.win);
-            self.conns.push(Conn {
-                tcb,
-                sock: crate::socket::Socket::new(self.cfg.sockbuf),
-                delack_deadline: None,
-                cksum_off: peer_wants_no_cksum && we_want_no_cksum,
-                time_wait_deadline: None,
-            });
-            let sock = self.conns.len() - 1;
+            let sock = self.add_conn(tcb, peer_wants_no_cksum && we_want_no_cksum);
+            self.touched.push(sock);
             self.send_syn(cursor, sock, true, drv)
         }
     }
@@ -1801,18 +1939,7 @@ impl Kernel {
     /// Earliest pending timer deadline.
     #[must_use]
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.conns
-            .iter()
-            .flat_map(|c| {
-                [
-                    c.delack_deadline,
-                    c.tcb.rexmt_deadline,
-                    c.tcb.persist_deadline,
-                    c.time_wait_deadline,
-                ]
-            })
-            .flatten()
-            .min()
+        self.deadlines.earliest()
     }
 }
 
@@ -2519,7 +2646,7 @@ mod tests {
                 let t = a.tcb(sa);
                 (t.snd_nxt, t.rcv_nxt)
             };
-            let t = b.tcb_mut(sb);
+            let mut t = b.tcb_mut(sb);
             t.rcv_nxt = iss;
             t.snd_una = rcv;
             t.snd_nxt = rcv;
@@ -2676,5 +2803,328 @@ mod tests {
         assert_eq!(b.stats.tcp_cksum_drops, 0);
         let r = b.syscall_read(t, sb, 8000, &mut db);
         assert_eq!(r.data, data);
+    }
+
+    #[test]
+    fn segment_for_ambient_pcb_is_a_counted_drop() {
+        // Ambient PCBs stand for daemons' connections: the lookup
+        // finds them, but no socket owns them.
+        let cfg = StackConfig::default();
+        assert!(cfg.ambient_pcbs > 0);
+        let costs = CostModel::calibrated();
+        let mut peer = Kernel::new(cfg, costs.clone());
+        let mut host = Kernel::new(cfg, costs);
+        host.spans.enabled = true;
+        let daemon = PcbKey {
+            laddr: [10, 9, 9, 9],
+            lport: 7000,
+            faddr: [10, 0, 0, 1],
+            fport: 6000,
+        };
+        let sp = peer.create_connection(daemon, 4096);
+        let mut dp = CaptureDriver::new(9188);
+        let mut dh = CaptureDriver::new(9188);
+        let _ = peer.syscall_write(SimTime::ZERO, sp, &[7u8; 64], &mut dp);
+        shuttle(&mut dp, &mut host, &mut dh, SimTime::from_ms(1));
+        assert_eq!(host.stats.no_pcb_drops, 1);
+        assert!(dh.packets.is_empty(), "nothing answers");
+        assert_eq!(host.next_deadline(), None);
+        // The search is charged, as for a segment no PCB matches.
+        let last = host.spans.spans().last().expect("span recorded");
+        assert_eq!(last.kind, SpanKind::RxTcpSegment);
+        assert!(last.end > last.start);
+    }
+
+    /// splitmix64: the differential test's deterministic randomness.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A capture driver that loses a fixed share of what it sends.
+    struct LossyDriver {
+        packets: Vec<Vec<u8>>,
+        rng: u64,
+        loss_pct: u64,
+    }
+
+    impl TxDriver for LossyDriver {
+        fn mtu(&self) -> usize {
+            9188
+        }
+
+        fn transmit(&mut self, now: SimTime, packet: &Chain, _spans: &mut SpanRecorder) -> SimTime {
+            if mix(&mut self.rng) % 100 >= self.loss_pct {
+                self.packets.push(packet.to_vec());
+            }
+            now
+        }
+    }
+
+    /// The next deadline by a scan over every connection's timers.
+    fn scanned_next_deadline(k: &Kernel) -> Option<SimTime> {
+        k.conns.iter().filter_map(Conn::earliest_deadline).min()
+    }
+
+    /// `check_timers` as a walk over every connection in socket order.
+    fn check_timers_full_walk(
+        k: &mut Kernel,
+        now: SimTime,
+        drv: &mut dyn TxDriver,
+    ) -> Option<SimTime> {
+        let start = now.max(k.cpu.busy_until());
+        let mut cursor = start;
+        for sock in 0..k.conns.len() {
+            cursor = k.fire_timers(sock, now, cursor, drv);
+            k.refile(sock);
+        }
+        if cursor > start {
+            k.cpu.occupy(start, cursor, CpuBand::Process);
+        }
+        scanned_next_deadline(k)
+    }
+
+    /// Both indexes agree with a scan over the connections.
+    fn assert_indexes(k: &Kernel) {
+        assert_eq!(k.next_deadline(), scanned_next_deadline(k));
+        for id in 0..k.sock_of_pcb.len() + 2 {
+            let scanned = k.conns.iter().position(|c| c.tcb.id == id);
+            assert_eq!(k.sock_of(id), scanned, "pcb id {id}");
+        }
+    }
+
+    /// What one step of the differential world left behind.
+    #[derive(Debug, PartialEq)]
+    struct StepTrace {
+        sent: [Vec<Vec<u8>>; 2],
+        stats: [KernelStats; 2],
+        next: [Option<SimTime>; 2],
+        conns: [Vec<String>; 2],
+    }
+
+    /// Which behaviours a differential run reached.
+    #[derive(Default)]
+    struct Reached {
+        persist: bool,
+        time_wait: bool,
+        handshake_rexmits: u64,
+        connects: usize,
+        tcb_edits: usize,
+    }
+
+    /// A lossy client/server world of 64 connection pairs, plus
+    /// actively opened connections, driven by a seeded random script.
+    /// `full_walk` selects the timer oracle over the indexed
+    /// `check_timers`. Every kernel call is followed by a check of
+    /// both indexes against a scan.
+    fn differential_world(seed: u64, full_walk: bool) -> (Vec<StepTrace>, Reached) {
+        use crate::tcb::TcpState;
+        let cfg = StackConfig {
+            sockbuf: 4096,
+            max_rexmt_shift: 4,
+            ..StackConfig::default()
+        };
+        let costs = CostModel::calibrated();
+        let mut k = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
+        let mut drv = [0u64, 1].map(|side| LossyDriver {
+            packets: Vec::new(),
+            rng: seed ^ (side << 32),
+            loss_pct: 15,
+        });
+        let client = [10, 0, 0, 1];
+        let server = [10, 0, 0, 2];
+        let _ = k[1].listen(server, 80);
+        // Established pairs, as [client socket, server socket].
+        let mut pairs: Vec<[SockId; 2]> = Vec::new();
+        for i in 0..64u16 {
+            let kc = PcbKey {
+                laddr: client,
+                lport: 1000 + i,
+                faddr: server,
+                fport: 80,
+            };
+            let ks = PcbKey {
+                laddr: server,
+                lport: 80,
+                faddr: client,
+                fport: 1000 + i,
+            };
+            let sc = k[0].create_connection(kc, 4096);
+            let ss = k[1].create_connection(ks, 4096);
+            let (snd, rcv) = (k[0].tcb(sc).snd_nxt, k[0].tcb(sc).rcv_nxt);
+            let mut t = k[1].tcb_mut(ss);
+            t.rcv_nxt = snd;
+            t.snd_una = rcv;
+            t.snd_nxt = rcv;
+            t.snd_max = rcv;
+            drop(t);
+            pairs.push([sc, ss]);
+        }
+        let mut rng = seed;
+        let mut now = SimTime::ZERO;
+        let mut reached = Reached::default();
+        let mut trace = Vec::new();
+        for step in 0..1500u32 {
+            now += SimTime::from_us(mix(&mut rng) % 20_000);
+            let side = (mix(&mut rng) % 2) as usize;
+            let pick = mix(&mut rng);
+            if step == 1200 {
+                // A long outage: every retransmission is lost until
+                // the connections with data in flight give up.
+                for _ in 0..6 {
+                    now += SimTime::from_secs(10);
+                    for s in 0..2 {
+                        drv[s].packets.clear();
+                        let _ = if full_walk {
+                            check_timers_full_walk(&mut k[s], now, &mut drv[s])
+                        } else {
+                            k[s].check_timers(now, &mut drv[s])
+                        };
+                        let _ = k[s].take_timer_wakeups();
+                        assert_indexes(&k[s]);
+                    }
+                }
+                drv[0].packets.clear();
+                drv[1].packets.clear();
+            }
+            match mix(&mut rng) % 100 {
+                0..=29 => {
+                    let sock = pairs[pick as usize % pairs.len()][side];
+                    let len = 1 + (mix(&mut rng) % 3000) as usize;
+                    let data = vec![(step % 251) as u8; len];
+                    let _ = k[side].syscall_write(now, sock, &data, &mut drv[side]);
+                }
+                30..=39 => {
+                    let sock = pairs[pick as usize % pairs.len()][side];
+                    let want = 1 + (mix(&mut rng) % 4096) as usize;
+                    let _ = k[side].syscall_read(now, sock, want, &mut drv[side]);
+                }
+                40..=69 => {
+                    // Carry what one side sent to the other.
+                    let pkts: Vec<_> = drv[side].packets.drain(..).collect();
+                    let to = 1 - side;
+                    for p in pkts {
+                        let (chain, _) = Chain::from_user_data(&k[to].pool, &p, p.len() > 1024);
+                        if let Some(at) = k[to].enqueue_ip(now, chain) {
+                            let _ = k[to].ipintr(at, &mut drv[to]);
+                            assert_indexes(&k[to]);
+                        }
+                    }
+                }
+                70..=89 => {
+                    // Half the time jump to the next timer or just past.
+                    if pick.is_multiple_of(2) {
+                        if let Some(dl) = k[side].next_deadline() {
+                            now = now.max(dl + SimTime::from_us(pick / 2 % 2));
+                        }
+                    }
+                    let _ = if full_walk {
+                        check_timers_full_walk(&mut k[side], now, &mut drv[side])
+                    } else {
+                        k[side].check_timers(now, &mut drv[side])
+                    };
+                    let _ = k[side].take_timer_wakeups();
+                }
+                90..=93 => {
+                    let sock = pairs[pick as usize % pairs.len()][side];
+                    k[side].close(now, sock, &mut drv[side]);
+                }
+                94..=97 => {
+                    let lport = 2000 + reached.connects as u16;
+                    reached.connects += 1;
+                    let key = PcbKey {
+                        laddr: client,
+                        lport,
+                        faddr: server,
+                        fport: 80,
+                    };
+                    let _ = k[0].connect(now, key, &mut drv[0]);
+                }
+                _ => {
+                    // An administrative edit that moves a timer.
+                    let sock = pairs[pick as usize % pairs.len()][side];
+                    let mut t = k[side].tcb_mut(sock);
+                    t.rexmt_deadline = match t.rexmt_deadline {
+                        Some(dl) => Some(dl + SimTime::from_ms(pick % 300)),
+                        None if t.state == TcpState::Established => {
+                            Some(now + SimTime::from_ms(pick % 300))
+                        }
+                        None => None,
+                    };
+                    reached.tcb_edits += 1;
+                }
+            }
+            let mut next = [None; 2];
+            let mut conns: [Vec<String>; 2] = Default::default();
+            for s in 0..2 {
+                assert_indexes(&k[s]);
+                next[s] = k[s].next_deadline();
+                for c in &k[s].conns {
+                    reached.persist |= c.tcb.persist_deadline.is_some();
+                    reached.time_wait |= c.time_wait_deadline.is_some();
+                    conns[s].push(format!(
+                        "{:?} {} {} {} {} {:?} {:?} {:?} {:?}",
+                        c.tcb.state,
+                        c.tcb.snd_una,
+                        c.tcb.snd_nxt,
+                        c.tcb.rcv_nxt,
+                        c.tcb.rexmt_shift,
+                        c.delack_deadline,
+                        c.tcb.rexmt_deadline,
+                        c.tcb.persist_deadline,
+                        c.time_wait_deadline,
+                    ));
+                }
+            }
+            let sent = [drv[0].packets.clone(), drv[1].packets.clone()];
+            trace.push(StepTrace {
+                sent,
+                stats: [k[0].stats, k[1].stats],
+                next,
+                conns,
+            });
+        }
+        // Actively opened connections carry no data: their
+        // retransmissions are SYNs.
+        reached.handshake_rexmits = k[0].conns[pairs.len()..]
+            .iter()
+            .map(|c| c.tcb.stats.rexmits)
+            .sum();
+        (trace, reached)
+    }
+
+    #[test]
+    fn deadline_index_and_socket_map_match_full_scans() {
+        for seed in [1u64, 0x5eed] {
+            let (indexed, reached) = differential_world(seed, false);
+            let (walked, _) = differential_world(seed, true);
+            assert_eq!(indexed.len(), walked.len());
+            for (step, (a, b)) in indexed.iter().zip(&walked).enumerate() {
+                assert_eq!(a, b, "seed {seed:#x}: runs diverge at step {step}");
+            }
+            // The script reached every timer path it is meant to.
+            let last = indexed.last().expect("steps ran");
+            for s in 0..2 {
+                assert!(last.stats[s].rto_fires > 0, "seed {seed:#x}: RTOs");
+                assert!(
+                    last.stats[s].delack_fires > 0,
+                    "seed {seed:#x}: delayed ACKs"
+                );
+            }
+            assert!(
+                last.stats[0].conn_aborts + last.stats[1].conn_aborts > 0,
+                "seed {seed:#x}: retransmit-limit aborts"
+            );
+            assert!(reached.persist, "seed {seed:#x}: persist probes");
+            assert!(reached.time_wait, "seed {seed:#x}: TIME-WAIT");
+            assert!(
+                reached.handshake_rexmits > 0,
+                "seed {seed:#x}: handshake retransmits"
+            );
+            assert!(reached.tcb_edits > 0, "seed {seed:#x}: tcb_mut edits");
+        }
     }
 }

@@ -46,7 +46,7 @@ fn pair(cfg: StackConfig) -> (Kernel, Kernel, SockId, SockId) {
         (t.snd_nxt, t.rcv_nxt)
     };
     {
-        let t = b.tcb_mut(sb);
+        let mut t = b.tcb_mut(sb);
         t.rcv_nxt = iss;
         t.snd_una = rcv;
         t.snd_nxt = rcv;

@@ -104,7 +104,7 @@ proptest! {
                 let t = a.tcb(sa);
                 (t.snd_nxt, t.rcv_nxt)
             };
-            let t = b.tcb_mut(sb);
+            let mut t = b.tcb_mut(sb);
             t.rcv_nxt = iss;
             t.snd_una = rcv;
             t.snd_nxt = rcv;

@@ -47,7 +47,7 @@ fn pair(cfg: StackConfig) -> (Kernel, Kernel, SockId, SockId) {
         (t.snd_nxt, t.rcv_nxt)
     };
     {
-        let t = b.tcb_mut(sb);
+        let mut t = b.tcb_mut(sb);
         t.rcv_nxt = a_iss;
         t.snd_una = a_rcv;
         t.snd_nxt = a_rcv;

@@ -409,7 +409,7 @@ impl DcWorld {
                     (t.snd_nxt, t.rcv_nxt)
                 };
                 {
-                    let t = hosts[srv].kernel.tcb_mut(sock_s);
+                    let mut t = hosts[srv].kernel.tcb_mut(sock_s);
                     t.rcv_nxt = c_snd;
                     t.snd_una = c_rcv;
                     t.snd_nxt = c_rcv;

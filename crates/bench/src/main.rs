@@ -43,7 +43,6 @@ mod report;
 use latency_core::experiment::{Experiment, NetKind};
 use latency_core::{faults, micro, paper, tables};
 use report::Report;
-use simcap::Quantiles as _;
 use sweep::grid::Variant;
 use sweep::{Sweep, SweepResults};
 
@@ -74,7 +73,32 @@ struct Opts {
     sketch: bool,
 }
 
-fn parse_args() -> Opts {
+/// The subcommands besides the world studies (`world::STUDIES`).
+const COMMANDS: &str = "all table1 table2 table3 table4 table5 table6 table7 pcb mbuf \
+                        predict errors extras faults churn ablation switch ethernet-errors \
+                        udp trace verify invariants bench";
+
+/// Whether `name` is a `repro` subcommand.
+fn is_command(name: &str) -> bool {
+    COMMANDS.split_whitespace().any(|c| c == name) || world::study(name).is_some()
+}
+
+/// The one-line usage summary printed with every argument error.
+const USAGE: &str = "usage: repro [COMMAND]... [--iterations N] [--reps N] [--jobs N] \
+                     [--seed N] [--json FILE] [--sweep-json FILE] [--out-dir DIR] [--full] \
+                     [--quick] [--sketch] [--bless] [--dump-live] [--golden-dir DIR]";
+
+/// Parses the command line; an unknown flag or subcommand, a missing
+/// or unparsable value, or `--jobs 0` is an error message.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    fn value(flag: &str, v: Option<String>) -> Result<String, String> {
+        v.ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn number<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+        let v = value(flag, v)?;
+        v.parse()
+            .map_err(|_| format!("{flag} needs a number, got `{v}`"))
+    }
     let mut what = Vec::new();
     let mut iterations = 1500;
     let mut reps = 1;
@@ -88,31 +112,23 @@ fn parse_args() -> Opts {
     let mut dump_live = false;
     let mut golden_dir = String::from("tests/golden");
     let mut sketch = false;
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--iterations" => {
-                iterations = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations N");
-            }
-            "--reps" => {
-                reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N");
-            }
+            "--iterations" => iterations = number(&a, args.next())?,
+            "--reps" => reps = number(&a, args.next())?,
             "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-                assert!(jobs >= 1, "--jobs needs at least one worker");
+                jobs = number(&a, args.next())?;
+                if jobs == 0 {
+                    return Err("--jobs needs at least one worker".to_string());
+                }
             }
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N");
-            }
-            "--json" => json = Some(args.next().expect("--json FILE")),
-            "--sweep-json" => sweep_json = Some(args.next().expect("--sweep-json FILE")),
-            "--out-dir" => out_dir = args.next().expect("--out-dir DIR"),
+            "--seed" => seed = number(&a, args.next())?,
+            "--json" => json = Some(value(&a, args.next())?),
+            "--sweep-json" => sweep_json = Some(value(&a, args.next())?),
+            "--out-dir" => out_dir = value(&a, args.next())?,
             "--bless" => bless = true,
             "--dump-live" => dump_live = true,
-            "--golden-dir" => golden_dir = args.next().expect("--golden-dir DIR"),
+            "--golden-dir" => golden_dir = value(&a, args.next())?,
             "--sketch" => sketch = true,
             "--full" => {
                 iterations = 40_000;
@@ -124,14 +140,15 @@ fn parse_args() -> Opts {
                 reps = 1;
                 quick = true;
             }
-            other if !other.starts_with('-') => what.push(other.to_string()),
-            other => panic!("unknown flag {other}"),
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
+            other if is_command(other) => what.push(other.to_string()),
+            other => return Err(format!("unknown command `{other}`")),
         }
     }
     if what.is_empty() {
         what.push("all".to_string());
     }
-    Opts {
+    Ok(Opts {
         what,
         iterations,
         reps,
@@ -145,7 +162,7 @@ fn parse_args() -> Opts {
         dump_live,
         golden_dir,
         sketch,
-    }
+    })
 }
 
 /// The observation mode the study subcommands run under.
@@ -170,7 +187,13 @@ fn out_path(opts: &Opts, file: &str) -> std::path::PathBuf {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("repro: {e}; {USAGE}");
+            std::process::exit(2);
+        }
+    };
     if opts.what.iter().any(|w| w == "verify") {
         std::process::exit(cmd_verify(&opts));
     }
@@ -180,17 +203,11 @@ fn main() {
     if opts.what.iter().any(|w| w == "bench") {
         std::process::exit(cmd_bench(&opts));
     }
-    if opts.what.iter().any(|w| w == "dc") {
-        std::process::exit(cmd_dc(&opts));
-    }
-    if opts.what.iter().any(|w| w == "tails") {
-        std::process::exit(cmd_tails(&opts));
-    }
-    if opts.what.iter().any(|w| w == "hedge") {
-        std::process::exit(cmd_hedge(&opts));
-    }
-    if opts.what.iter().any(|w| w == "cc") {
-        std::process::exit(cmd_cc(&opts));
+    if let Some(&study) = world::STUDIES
+        .iter()
+        .find(|s| opts.what.iter().any(|w| w == s.name()))
+    {
+        std::process::exit(cmd_study(&opts, study));
     }
     let mut report = Report::new(opts.iterations, opts.reps);
     let all = opts.what.iter().any(|w| w == "all");
@@ -1050,14 +1067,38 @@ fn golden_grids(q: &Opts) -> [Sweep; 2] {
     [tables, faults]
 }
 
+/// A golden-gated grid: a `Sweep` (tables, faults) or a world study.
+enum GoldenGrid {
+    Sweep(Sweep),
+    Study(&'static dyn world::Study),
+}
+
+/// `repro verify`: every golden grid through one protocol. Read (or,
+/// under `--bless`, write) `<golden_dir>/<file>`, produce the live
+/// canonical JSON at golden scale, optionally dump it, and diff the
+/// two with the shared comparator. The golden is read *before* the
+/// live grid runs, so a missing or corrupt file fails fast with exit
+/// 2; any drift makes the exit code 1.
 fn cmd_verify(opts: &Opts) -> i32 {
     let q = golden_scale(opts);
     let mut code = 0;
     let mut summary: Vec<(String, usize, usize)> = Vec::new();
-    for grid in golden_grids(&q) {
-        let path = format!("{}/{}_quick.json", q.golden_dir, grid.name);
-        // Read the golden before paying for the live grid, so a
-        // missing or corrupt file fails fast.
+    let grids = golden_grids(&q)
+        .into_iter()
+        .map(GoldenGrid::Sweep)
+        .chain(world::STUDIES.iter().map(|&s| GoldenGrid::Study(s)));
+    for grid in grids {
+        // The summary uses the canonical report's own name; the
+        // `Sweep` goldens carry their scale in the file name only.
+        let (name, file) = match &grid {
+            GoldenGrid::Sweep(sw) => (sw.name.to_string(), format!("{}_quick.json", sw.name)),
+            GoldenGrid::Study(study) => {
+                let name = study.report_name(true);
+                let file = format!("{name}.json");
+                (name, file)
+            }
+        };
+        let path = format!("{}/{file}", q.golden_dir);
         let golden = if q.bless {
             None
         } else {
@@ -1079,124 +1120,51 @@ fn cmd_verify(opts: &Opts) -> i32 {
                 }
             }
         };
-        eprintln!(
-            "verify: {}: running {} cell(s) across {} worker(s)...",
-            grid.name,
-            grid.len(),
-            q.jobs
-        );
-        let live = grid.run(q.jobs);
-        let live_json = live.canonical_json();
+        let running = |cells: usize| {
+            eprintln!(
+                "verify: {name}: running {cells} cell(s) across {} worker(s)...",
+                q.jobs
+            );
+        };
+        let (cells, live_json, sweep_live) = match grid {
+            GoldenGrid::Sweep(sw) => {
+                running(sw.len());
+                let live = sw.run(q.jobs);
+                (live.outcomes.len(), live.canonical_json(), Some(live))
+            }
+            GoldenGrid::Study(study) => {
+                let grid = study.grid(true);
+                running(grid.len());
+                let results = world::run_dc_cells(&grid, q.jobs);
+                (grid.len(), study.report_json(&name, &grid, &results), None)
+            }
+        };
         if q.dump_live {
-            let p = out_path(opts, &format!("{}_live.json", grid.name));
+            let p = out_path(opts, &format!("{name}_live.json"));
             std::fs::write(&p, &live_json).expect("write live canonical json");
             eprintln!("verify: live canonical grid written to {}", p.display());
         }
         let Some(golden) = golden else {
             std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
             std::fs::write(&path, &live_json).expect("write golden file");
-            eprintln!(
-                "verify: blessed {} cell(s) into {path}",
-                live.outcomes.len()
-            );
-            summary.push((grid.name.to_string(), live.outcomes.len(), 0));
+            eprintln!("verify: blessed {cells} cell(s) into {path}");
+            summary.push((name, cells, 0));
             continue;
         };
         let live_rep = oracle::parse_report(&live_json).expect("live canonical json parses");
         let drifts = oracle::compare_reports(&golden, &live_rep, GOLDEN_TOL_US);
-        summary.push((grid.name.to_string(), live.outcomes.len(), drifts.len()));
+        summary.push((name.clone(), cells, drifts.len()));
         if drifts.is_empty() {
-            eprintln!(
-                "verify: {}: {} cell(s) match {path}",
-                grid.name,
-                live.outcomes.len()
-            );
+            eprintln!("verify: {name}: {cells} cell(s) match {path}");
             continue;
         }
         code = 1;
-        eprintln!(
-            "verify: {}: {} drift(s) against {path}:",
-            grid.name,
-            drifts.len()
-        );
+        eprintln!("verify: {name}: {} drift(s) against {path}:", drifts.len());
         for d in &drifts {
             eprintln!("  {d}");
         }
-        shrink_fault_drifts(&live, &drifts);
-    }
-    // The world-crate goldens (datacenter incast, tail-at-scale
-    // fan-out) follow the same protocol; their grids come from
-    // `crates/world` rather than `Sweep`, but the canonical JSON is
-    // schema-compatible so the parser and comparator are shared (the
-    // tails report's extra percentile fields ride in the comparator's
-    // `extras`).
-    {
-        let cells = world::dc_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "dc_quick",
-            count,
-            || world::canonical_json("dc_quick", &world::run_dc_cells(&cells, q.jobs)),
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::tails_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "tails_quick",
-            count,
-            || {
-                let results = world::run_tails_cells(&cells, q.jobs);
-                world::tails_canonical_json("tails_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::hedge_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "hedge_quick",
-            count,
-            || {
-                let results = world::run_hedge_cells(&cells, q.jobs);
-                world::hedge_canonical_json("hedge_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::cc_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "cc_quick",
-            count,
-            || {
-                let results = world::run_cc_cells(&cells, q.jobs);
-                world::cc_canonical_json("cc_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
+        if let Some(live) = &sweep_live {
+            shrink_fault_drifts(live, &drifts);
         }
     }
     if code == 0 && !q.bless {
@@ -1219,76 +1187,6 @@ fn cmd_verify(opts: &Opts) -> i32 {
         eprintln!("verify summary written to {}", p.display());
     }
     code
-}
-
-/// Golden-gates one world-crate grid under the sweep grids' protocol:
-/// read (or bless) `<golden_dir>/<name>.json`, produce the live
-/// canonical JSON, diff with the shared comparator. The golden is
-/// read *before* `live` runs the grid, so a missing or corrupt file
-/// fails fast. Returns `Some(2)` on a hard failure the caller must
-/// propagate; drift sets `*code = 1` and records into `summary` like
-/// every other grid.
-fn verify_world_grid(
-    opts: &Opts,
-    q: &Opts,
-    name: &str,
-    cells: usize,
-    live: impl FnOnce() -> String,
-    summary: &mut Vec<(String, usize, usize)>,
-    code: &mut i32,
-) -> Option<i32> {
-    let path = format!("{}/{name}.json", q.golden_dir);
-    let golden = if q.bless {
-        None
-    } else {
-        let golden_text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "verify: cannot read {path}: {e}\n\
-                     verify: run `repro verify --bless` to create the goldens"
-                );
-                return Some(2);
-            }
-        };
-        match oracle::parse_report(&golden_text) {
-            Ok(g) => Some(g),
-            Err(e) => {
-                eprintln!("verify: {path}: {e}");
-                return Some(2);
-            }
-        }
-    };
-    eprintln!(
-        "verify: {name}: running {cells} cell(s) across {} worker(s)...",
-        q.jobs
-    );
-    let live_json = live();
-    if q.dump_live {
-        let p = out_path(opts, &format!("{name}_live.json"));
-        std::fs::write(&p, &live_json).expect("write live canonical json");
-        eprintln!("verify: live canonical grid written to {}", p.display());
-    }
-    if let Some(golden) = golden {
-        let live_rep = oracle::parse_report(&live_json).expect("live canonical json parses");
-        let drifts = oracle::compare_reports(&golden, &live_rep, GOLDEN_TOL_US);
-        summary.push((name.to_string(), cells, drifts.len()));
-        if drifts.is_empty() {
-            eprintln!("verify: {name}: {cells} cell(s) match {path}");
-        } else {
-            *code = 1;
-            eprintln!("verify: {name}: {} drift(s) against {path}:", drifts.len());
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-        }
-    } else {
-        std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
-        std::fs::write(&path, &live_json).expect("write golden file");
-        eprintln!("verify: blessed {cells} cell(s) into {path}");
-        summary.push((name.to_string(), cells, 0));
-    }
-    None
 }
 
 /// Integrity anomalies in a drifted fault cell (payload corruption
@@ -1647,308 +1545,46 @@ fn cmd_bench(opts: &Opts) -> i32 {
 }
 
 // --------------------------------------------------------------------------
-// `repro dc` — the datacenter incast study (crates/world).
+// `repro dc|tails|hedge|cc` — the world studies (crates/world).
 // --------------------------------------------------------------------------
 
-/// `repro dc`: the switch-centered datacenter study. Sweeps client
-/// hosts x connections/host x PCB lookup strategy x incast fan-in,
-/// reporting per-cell RTT distributions next to the server-side PCB
-/// counters the paper's §3 cost model predicts. `--quick` runs the CI
-/// grid whose canonical JSON is blessed as `tests/golden/dc_quick.json`
-/// and gated by `repro verify`; `--sweep-json FILE` writes the same
-/// canonical report for either scale.
-fn cmd_dc(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("dc_quick", world::dc_quick_grid())
-    } else {
-        ("dc", world::dc_grid())
-    };
+/// Runs one world study: its grid (`--quick`: the CI grid whose
+/// canonical JSON is blessed as `tests/golden/<study>_quick.json` and
+/// gated by `repro verify`) through the ordered pool, then its table on
+/// stdout, the shared failure check, and, under `--sweep-json FILE`,
+/// the canonical report.
+fn cmd_study(opts: &Opts, study: &dyn world::Study) -> i32 {
+    let name = study.name();
+    let cells = study.grid(opts.quick);
     eprintln!(
-        "dc: {} cell(s) across {} worker(s)...",
+        "{name}: {} cell(s) across {} worker(s)...",
         cells.len(),
         opts.jobs
     );
     let results = world::run_dc_cells_with(&cells, opts.jobs, obs_mode(opts));
+    print!("{}", study.table(&cells, &results));
     let mut code = 0;
-    println!(
-        "{:<28} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>8}",
-        "cell", "samples", "mean_us", "p50_us", "p99_us", "search", "hit%", "drops", "backlog"
-    );
-    for r in &results {
-        let rec = r.rtts.recorder();
-        println!(
-            "{:<28} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2} {:>6.1} {:>6} {:>8}",
-            r.key.trim_start_matches("dc/"),
-            r.rtts.len(),
-            rec.mean_us(),
-            rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
-            rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
-            r.search_len(),
-            r.cache_hit_rate() * 100.0,
-            r.switch_drops,
-            r.max_backlog_cells
-        );
-        if r.rtts.is_empty() || r.verify_failures > 0 || r.aborted_conns > 0 {
-            code = 1;
-            eprintln!(
-                "dc: {}: FAILED ({} sample(s), {} verify failure(s), {} aborted connection(s))",
-                r.key,
-                r.rtts.len(),
-                r.verify_failures,
-                r.aborted_conns
-            );
-        }
-    }
-    // The §3 ordering, made visible: per (clients, conns, fan-in)
-    // group, the mean server-side search length under each strategy.
-    // The single-entry cache's list degrades as the PCB table grows;
-    // the hash table stays flat.
-    let groups: std::collections::BTreeSet<(usize, usize, usize)> = cells
-        .iter()
-        .map(|c| {
-            (
-                c.topo.clients,
-                c.topo.conns_per_host,
-                c.topo.effective_fanin(),
-            )
-        })
-        .collect();
-    println!("\nserver-side mean search length by strategy (PCB lookup, §3):");
-    println!(
-        "{:<20} {:>8} {:>8} {:>8}",
-        "clients x conns x fanin", "mtf", "cache", "hash"
-    );
-    for (h, c, f) in groups {
-        let of = |tag: &str| {
-            results
-                .iter()
-                .find(|r| {
-                    r.key == format!("dc/h{h}/c{c}/{tag}/f{f}/i{}r1", cells[0].topo.iterations)
-                })
-                .map_or(f64::NAN, world::DcCellResult::search_len)
-        };
-        println!(
-            "h{h:<4} c{c:<4} f{f:<6} {:>8.2} {:>8.2} {:>8.2}",
-            of("mtf"),
-            of("cache"),
-            of("hash")
+    for r in results.iter().filter(|r| study.failed(r)) {
+        code = 1;
+        eprintln!(
+            "{name}: {}: FAILED ({} sample(s), {} verify failure(s), {} leaked mbuf(s), \
+             {} fan-out abort(s), {} aborted connection(s))",
+            r.key,
+            study.samples(r).len(),
+            r.verify_failures,
+            r.mbufs_leaked,
+            r.fanout_aborts,
+            r.aborted_conns
         );
     }
     if let Some(path) = &opts.sweep_json {
         let p = out_path(opts, path);
-        std::fs::write(&p, world::canonical_json(name, &results)).expect("write dc sweep json");
-        eprintln!("dc canonical report written to {}", p.display());
+        let report = study.report_json(&study.report_name(opts.quick), &cells, &results);
+        std::fs::write(&p, report).expect("write study sweep json");
+        eprintln!("{name} canonical report written to {}", p.display());
     }
     if code == 0 {
-        eprintln!("dc: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro tails` — the tail-at-scale fan-out study (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro tails`: the fan-out/wait-for-all completion-tail study. Each
-/// client issues one logical request as N parallel sub-requests to N
-/// distinct servers and completes on the slowest reply; the table
-/// reports completion p50/p99/p999 and the tail-amplification ratio
-/// (p99 at fan-out N over p99 at fan-out 1) per faultkit scenario,
-/// with and without background churn traffic. `--quick` runs the CI
-/// grid whose canonical JSON is blessed as
-/// `tests/golden/tails_quick.json` and gated by `repro verify`;
-/// `--sweep-json FILE` writes the canonical report for either scale.
-///
-/// Unlike `repro dc`, retransmit-limit aborts are *data*, not
-/// failures: the mbuf-exhaustion regime is expected to kill client
-/// rounds, and the table flags such cells with `!`. Only payload
-/// corruption or a cell that silently produced nothing fail the run.
-fn cmd_tails(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("tails_quick", world::tails_quick_grid())
-    } else {
-        ("tails", world::tails_grid())
-    };
-    eprintln!(
-        "tails: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_tails_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::tails_rows(&cells, &results);
-    print!("{}", latency_core::tails::format_table(&rows));
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0 || (r.completions.is_empty() && r.fanout_aborts == 0) {
-            code = 1;
-            eprintln!(
-                "tails: {}: FAILED ({} completion(s), {} verify failure(s), {} abort(s))",
-                c.cell.key,
-                r.completions.len(),
-                r.verify_failures,
-                r.fanout_aborts
-            );
-        }
-    }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::tails_canonical_json(name, &cells, &results))
-            .expect("write tails sweep json");
-        eprintln!("tails canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("tails: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro hedge` — the tail-tolerance study (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro hedge`: the tail-tolerant RPC study. Every cell runs the
-/// fan-out-16 world under one fault regime (clean, burst-loss, host
-/// pause windows, link flap) and one mitigation (none, deadline,
-/// budgeted retries, hedged requests, hedge + first-K-of-N), and the
-/// table prices each mitigation's p50/p99/p999 against the
-/// unmitigated baseline — `amp(p99) < 1` means the mitigation cut the
-/// tail — next to its cost counters (hedges won/wasted, retries
-/// issued/suppressed, deadline busts). `--quick` runs the CI grid
-/// blessed as `tests/golden/hedge_quick.json` and gated by `repro
-/// verify`; `--sweep-json FILE` writes the canonical report.
-///
-/// Like `repro tails`, retransmit-limit aborts are data (`!` rows);
-/// payload corruption, an empty un-aborted cell, or a leaked mbuf
-/// after teardown (cancelled/hedged requests must clean up) fail the
-/// run.
-fn cmd_hedge(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("hedge_quick", world::hedge_quick_grid())
-    } else {
-        ("hedge", world::hedge_grid())
-    };
-    eprintln!(
-        "hedge: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_hedge_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::hedge_rows(&cells, &results);
-    print!("{}", latency_core::hedge::format_table(&rows));
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0
-            || r.mbufs_leaked > 0
-            || (r.completions.is_empty() && r.fanout_aborts == 0)
-        {
-            code = 1;
-            eprintln!(
-                "hedge: {}: FAILED ({} completion(s), {} verify failure(s), {} abort(s), {} leaked mbuf(s))",
-                c.cell.key,
-                r.completions.len(),
-                r.verify_failures,
-                r.fanout_aborts,
-                r.mbufs_leaked
-            );
-        }
-    }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::hedge_canonical_json(name, &cells, &results))
-            .expect("write hedge sweep json");
-        eprintln!("hedge canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("hedge: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro cc` — congestion control x UBR drop policy (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro cc`: the congestion-control study. Every cell runs a
-/// cold-start 4-client incast (16 kB RPCs into one server port) under
-/// one sender variant (Tahoe, Reno, NewReno, SACK), one UBR cell-drop
-/// policy (tail, EPD, PPD), and one switch buffer size, and the table
-/// reports goodput next to the recovery-latency percentiles and the
-/// loss ledger (retransmits, RTO fires, cells dropped per policy).
-/// `--quick` runs the CI grid blessed as `tests/golden/cc_quick.json`
-/// and gated by `repro verify`; `--sweep-json FILE` writes the
-/// canonical report for either scale.
-///
-/// Retransmissions and RTOs are the study's *data*; only payload
-/// corruption, a leaked mbuf, or a cell that produced no samples at
-/// all fail the run.
-fn cmd_cc(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("cc_quick", world::cc_quick_grid())
-    } else {
-        ("cc", world::cc_grid())
-    };
-    eprintln!(
-        "cc: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_cc_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::cc_rows(&cells, &results);
-    println!(
-        "{:<8} {:<5} {:>5} {:>7} {:>8} {:>9} {:>9} {:>10} {:>7} {:>4} {:>6} {:>6} {:>6}",
-        "variant",
-        "drop",
-        "queue",
-        "samples",
-        "goodput",
-        "p50_us",
-        "p99_us",
-        "max_us",
-        "rexmit",
-        "rto",
-        "qdrop",
-        "epd",
-        "ppd"
-    );
-    for row in &rows {
-        println!(
-            "{:<8} {:<5} {:>5} {:>7} {:>8.2} {:>9.1} {:>9.1} {:>10.1} {:>7} {:>4} {:>6} {:>6} {:>6}",
-            row.variant,
-            row.policy,
-            row.queue_cells,
-            row.samples,
-            row.goodput_mbps,
-            row.p50_us,
-            row.p99_us,
-            row.max_us,
-            row.rexmits,
-            row.rto_fires,
-            row.queue_drops,
-            row.epd_drops,
-            row.ppd_drops
-        );
-    }
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0 || r.mbufs_leaked > 0 || r.rtts.is_empty() {
-            code = 1;
-            eprintln!(
-                "cc: {}: FAILED ({} sample(s), {} verify failure(s), {} leaked mbuf(s))",
-                c.cell.key,
-                r.rtts.len(),
-                r.verify_failures,
-                r.mbufs_leaked
-            );
-        }
-    }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::cc_canonical_json(name, &cells, &results))
-            .expect("write cc sweep json");
-        eprintln!("cc canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("cc: {} cell(s) clean", results.len());
+        eprintln!("{name}: {} cell(s) clean", results.len());
     }
     code
 }

@@ -4,9 +4,12 @@
 //! - `repro verify` passes against the blessed goldens at `--jobs 1`
 //!   and `--jobs 4` — the reworked engine reproduces the pre-overhaul
 //!   numbers cell for cell;
-//! - the live canonical sweep JSON of the tables and faults grids is
-//!   **byte-identical** to the blessed goldens at both worker counts
-//!   (and therefore byte-identical between them).
+//! - the live canonical JSON of all six golden grids (tables, faults
+//!   and the dc/tails/hedge/cc world studies) is **byte-identical** to
+//!   the blessed goldens at both worker counts (and therefore
+//!   byte-identical between them). The comparator alone allows
+//!   0.05 µs, so only this check catches a formatting slip in the
+//!   canonical writers.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,15 +48,23 @@ fn goldens_byte_identical_at_one_and_four_workers() {
         assert!(st.success(), "verify --jobs {jobs} failed: {st:?}");
         // Stronger than the comparator: the live canonical JSON must
         // match the blessed bytes exactly, at every worker count.
-        for grid in ["tables", "faults"] {
-            let live =
-                std::fs::read(out.join(format!("{grid}_live.json"))).expect("read live dump");
-            let blessed =
-                std::fs::read(goldens.join(format!("{grid}_quick.json"))).expect("read golden");
+        // (live dump, golden): the dump is named after the report,
+        // the `Sweep` goldens carry their scale in the file name.
+        let pairs = [
+            ("tables_live.json", "tables_quick.json"),
+            ("faults_live.json", "faults_quick.json"),
+            ("dc_quick_live.json", "dc_quick.json"),
+            ("tails_quick_live.json", "tails_quick.json"),
+            ("hedge_quick_live.json", "hedge_quick.json"),
+            ("cc_quick_live.json", "cc_quick.json"),
+        ];
+        for (dump, golden) in pairs {
+            let live = std::fs::read(out.join(dump)).expect("read live dump");
+            let blessed = std::fs::read(goldens.join(golden)).expect("read golden");
             assert!(!live.is_empty());
             assert_eq!(
                 live, blessed,
-                "{grid} canonical JSON at --jobs {jobs} differs from the blessed golden"
+                "{dump} at --jobs {jobs} differs from the blessed {golden}"
             );
         }
         let _ = std::fs::remove_dir_all(&out);

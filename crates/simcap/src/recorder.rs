@@ -1,11 +1,11 @@
 //! One unified measurement API: the [`Recorder`].
 //!
 //! The workspace grew three ad-hoc latency-measurement paths:
-//! `LatencyDist::from_samples` (exact, buffer-everything),
-//! `StreamingP95` (O(1) hedge-trigger estimate), and
-//! `latency_core::recovery::rtt_dist_counted` (exact + overflow
-//! accounting). [`Recorder`] subsumes all three behind one `observe`
-//! loop with three retention modes:
+//! `LatencyDist::from_samples` (exact, buffer-everything), a
+//! streaming p95 tracker (O(1) hedge-trigger estimate), and a counted
+//! RTT distribution (exact + overflow accounting). [`Recorder`]
+//! subsumes all three behind one `observe` loop with three retention
+//! modes:
 //!
 //! - [`RecorderMode::Exact`] retains every sample — identical numbers
 //!   to `LatencyDist` (same sort, same nearest-rank formula, same
@@ -395,19 +395,43 @@ mod tests {
         assert_eq!(rec.saturated(), 1);
         assert_eq!(Quantiles::count(&rec), 2);
         assert_eq!(Quantiles::max_ns(&rec), Some(i64::MAX));
+        // Two saturated samples out of three: both counted, both
+        // clamped, the in-range one kept.
+        let overflows = SimTime::from_ns(u64::MAX);
+        let rec = Recorder::from_times(&[SimTime::from_ns(1_000), overflows, overflows]);
+        assert_eq!(rec.saturated(), 2);
+        assert_eq!(Quantiles::count(&rec), 3);
+        assert_eq!(Quantiles::max_ns(&rec), Some(i64::MAX));
+        // The in-range path stays exact and reports zero saturation.
+        let rec = Recorder::from_times(&[SimTime::from_ns(1_000)]);
+        assert_eq!(rec.saturated(), 0);
+        assert_eq!(rec.dist().expect("exact mode").samples(), &[1_000]);
+    }
+
+    /// The frugal upper-quantile rule the hedge trigger was built on:
+    /// the first sample seeds the estimate, then it moves up by an
+    /// eighth of the gap and down by a 128th.
+    fn streaming_p95_reference(samples: impl Iterator<Item = SimTime>) -> Option<SimTime> {
+        let mut est: Option<u64> = None;
+        for s in samples {
+            let t = s.as_ns();
+            est = Some(match est {
+                None => t,
+                Some(e) if t > e => e + (t - e) / 8,
+                Some(e) => e - (e - t) / 128,
+            });
+        }
+        est.map(SimTime::from_ns)
     }
 
     #[test]
     fn upper_estimate_matches_streaming_p95_rule() {
-        #[allow(deprecated)]
-        let mut old = crate::StreamingP95::new();
+        let feed = || (0..500u64).map(|i| SimTime::from_ns(100_000 + (i * 37) % 5000));
         let mut rec = Recorder::upper_only();
-        for i in 0..500u64 {
-            let t = SimTime::from_ns(100_000 + (i * 37) % 5000);
-            old.observe(t);
+        for t in feed() {
             rec.observe(t);
         }
-        assert_eq!(rec.upper_estimate(), old.estimate());
+        assert_eq!(rec.upper_estimate(), streaming_p95_reference(feed()));
         assert_eq!(Quantiles::count(&rec), 500);
         assert_eq!(Quantiles::percentile_ns(&rec, 50.0), None);
     }

@@ -1,9 +1,14 @@
-//! The `repro dc` and `repro tails` studies: deterministic grids over
-//! datacenter worlds.
+//! The world studies — `repro dc`, `tails`, `hedge` and `cc` — as one
+//! pipeline: declare cells → [`run_dc_cells`] → one canonical writer.
 //!
 //! `repro dc` sweeps hosts x connections x PCB strategy x incast
 //! fan-in; `repro tails` sweeps fan-out width x fault scenario x
-//! background churn over the fan-out/wait-for-all world.
+//! background churn over the fan-out/wait-for-all world; `repro hedge`
+//! prices tail mitigations at fan-out 16; `repro cc` crosses
+//! congestion-control variants with UBR drop policies. Each is one
+//! [`Study`] in [`STUDIES`]: it names its grid, picks the sample set
+//! its report summarizes, and adds its own fields, table and failure
+//! condition. Everything else is shared.
 //!
 //! Each grid cell is one [`Topology`] + [`TrafficSchedule`] pair; its
 //! seed derives from the cell *key* (not its position), so adding or
@@ -11,9 +16,9 @@
 //! run under `sweep::pool::run_ordered` so the report is
 //! byte-identical at any `--jobs` value. The canonical JSON replicates
 //! the `sweep.json` cell schema exactly — the oracle's report parser
-//! and the golden comparator work on it unchanged (the tails report
-//! appends extra per-cell percentile fields, which the parser carries
-//! as extras and the comparator checks pairwise).
+//! and the golden comparator work on it unchanged (a study's extra
+//! per-cell fields follow `verify_failures`; the parser carries them
+//! as extras and the comparator checks them pairwise).
 //!
 //! Repetition seeding: rep 0 runs on the key-derived base seed (so
 //! single-rep grids — every golden — are untouched), and rep `r > 0`
@@ -22,11 +27,14 @@
 //! cell's base seed, silently correlating cells that must be
 //! independent.
 
+use std::fmt::Write as _;
+
 use atm::{DropPolicy, TrainMarking};
 use latency_core::hedge::{Mitigation, MitigationCost, MITIGATIONS};
 use latency_core::{ObsMode, Samples};
 use simcap::Quantiles as _;
 use simkit::SimTime;
+use sweep::report::{json_num, json_string};
 use tcpip::{CcVariant, PcbCounters};
 
 use crate::dc::run_dc;
@@ -144,8 +152,360 @@ impl DcCellResult {
     }
 }
 
-/// Builds the grid from explicit axes.
-fn grid(
+impl AsRef<DcCell> for DcCell {
+    fn as_ref(&self) -> &DcCell {
+        self
+    }
+}
+
+/// One study cell: a world cell plus the labels its topology cannot
+/// carry. Everything else a study reports about a cell (fan-out width,
+/// churn, congestion-control variant, drop policy, buffer size) is
+/// read back from `cell.topo`.
+pub struct StudyCell {
+    /// The world cell (key, topology, schedule, reps).
+    pub cell: DcCell,
+    /// Fault-scenario name (`tails`, `hedge`); empty for `dc` and `cc`.
+    pub scenario: String,
+    /// The hedge study's tail mitigation; [`Mitigation::None`] for
+    /// every other study.
+    pub mitigation: Mitigation,
+}
+
+impl StudyCell {
+    /// A cell that carries no label beyond its topology.
+    fn plain(cell: DcCell) -> StudyCell {
+        StudyCell {
+            cell,
+            scenario: String::new(),
+            mitigation: Mitigation::None,
+        }
+    }
+}
+
+impl AsRef<DcCell> for StudyCell {
+    fn as_ref(&self) -> &DcCell {
+        &self.cell
+    }
+}
+
+/// One study-specific canonical-JSON field: its name and its rendered
+/// JSON value.
+pub type Field = (&'static str, String);
+
+/// One world study: what differs between `repro dc`, `tails`, `hedge`
+/// and `cc`. Running the grid, writing the canonical report, the
+/// shared failure check and golden verification are common to all.
+pub trait Study: Sync {
+    /// The subcommand name, also the stem of the report name.
+    fn name(&self) -> &'static str;
+
+    /// The full grid, or the `--quick` grid (CI and golden scale).
+    fn grid(&self, quick: bool) -> Vec<StudyCell>;
+
+    /// The sample set the canonical prefix summarizes: RPC round trips
+    /// unless the study measures fan-out completions.
+    fn samples<'r>(&self, r: &'r DcCellResult) -> &'r Samples {
+        &r.rtts
+    }
+
+    /// The fields each cell appends after `verify_failures`, one list
+    /// per cell in grid order (empty: no extra fields).
+    fn extra_fields(&self, _cells: &[StudyCell], _results: &[DcCellResult]) -> Vec<Vec<Field>> {
+        Vec::new()
+    }
+
+    /// The printed table.
+    fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String;
+
+    /// A failure condition beyond the shared one of [`Study::failed`].
+    fn extra_failure(&self, _r: &DcCellResult) -> bool {
+        false
+    }
+
+    /// The report name: `<name>_quick` for the quick grid (the golden
+    /// file stem), `<name>` for the full one.
+    fn report_name(&self, quick: bool) -> String {
+        if quick {
+            format!("{}_quick", self.name())
+        } else {
+            self.name().to_string()
+        }
+    }
+
+    /// Whether a cell failed: payload verify failures, leaked mbufs, or
+    /// no samples without an abort — plus [`Study::extra_failure`].
+    fn failed(&self, r: &DcCellResult) -> bool {
+        r.verify_failures > 0
+            || r.mbufs_leaked > 0
+            || (self.samples(r).is_empty() && r.fanout_aborts == 0)
+            || self.extra_failure(r)
+    }
+
+    /// The deterministic report: the `sweep.json` cell schema over
+    /// [`Study::samples`], then [`Study::extra_fields`].
+    fn report_json(&self, name: &str, cells: &[StudyCell], results: &[DcCellResult]) -> String {
+        write_report(
+            name,
+            results,
+            |r| self.samples(r),
+            &self.extra_fields(cells, results),
+        )
+    }
+}
+
+/// Every world study, in the order `repro verify` gates their goldens.
+pub static STUDIES: [&dyn Study; 4] = [&DcStudy, &TailsStudy, &HedgeStudy, &CcStudy];
+
+/// The study whose subcommand is `name`.
+#[must_use]
+pub fn study(name: &str) -> Option<&'static dyn Study> {
+    STUDIES.iter().copied().find(|s| s.name() == name)
+}
+
+/// The seed for repetition `rep` of the cell named `key`.
+///
+/// Rep 0 is the base seed itself — single-rep grids (every golden)
+/// see exactly the bytes they always did. Higher reps fold the rep
+/// number into the key *hash* rather than adding it to the seed: the
+/// old `base + rep` walk could land on a neighboring cell's base seed
+/// (cell seeds are only 32 bits of FNV output), silently correlating
+/// cells the grid treats as independent.
+#[must_use]
+pub fn rep_seed(key: &str, rep: u64) -> u64 {
+    let base = sweep::cell_seed(key);
+    if rep == 0 {
+        base
+    } else {
+        sweep::cell_seed(&format!("{key}/r{rep}"))
+    }
+}
+
+/// Runs one cell: every rep on its [`rep_seed`], outcomes pooled
+/// into `mode`-appropriate containers.
+fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
+    let reps = cell.reps.max(1);
+    let mut acc = DcCellResult {
+        key: cell.key.clone(),
+        seed: sweep::cell_seed(&cell.key),
+        reps,
+        rtts: Samples::new(mode),
+        events: 0,
+        sim_time: SimTime::ZERO,
+        verify_failures: 0,
+        aborted_conns: 0,
+        server_pcb: PcbCounters::default(),
+        switch_forwarded: 0,
+        switch_drops: 0,
+        epd_drops: 0,
+        ppd_drops: 0,
+        max_backlog_cells: 0,
+        rexmits: 0,
+        rto_fires: 0,
+        completions: Samples::new(mode),
+        fanout_aborts: 0,
+        mbufs_leaked: 0,
+        cost: MitigationCost::default(),
+    };
+    for rep in 0..reps {
+        let r = run_dc(&cell.topo, cell.sched, rep_seed(&cell.key, rep));
+        acc.rtts.extend_from(&r.rtts);
+        acc.events += r.events;
+        acc.sim_time = acc.sim_time.max(r.sim_time);
+        acc.verify_failures += r.verify_failures;
+        acc.aborted_conns += r.aborted_conns;
+        let pcb = &mut acc.server_pcb;
+        pcb.lookups += r.server_pcb.lookups;
+        pcb.hits += r.server_pcb.hits;
+        pcb.misses += r.server_pcb.misses;
+        pcb.cache_hits += r.server_pcb.cache_hits;
+        pcb.cache_misses += r.server_pcb.cache_misses;
+        pcb.traversed += r.server_pcb.traversed;
+        pcb.hash_probes += r.server_pcb.hash_probes;
+        acc.switch_forwarded += r.switch_forwarded;
+        acc.switch_drops += r.switch_drops;
+        acc.epd_drops += r.epd_drops;
+        acc.ppd_drops += r.ppd_drops;
+        acc.max_backlog_cells = acc.max_backlog_cells.max(r.max_backlog_cells);
+        acc.rexmits += r.rexmits;
+        acc.rto_fires += r.rto_fires;
+        acc.completions.extend_from(&r.completions);
+        acc.fanout_aborts += r.fanout_aborts;
+        acc.mbufs_leaked += r.mbufs_leaked;
+        let cost = &mut acc.cost;
+        cost.hedges_issued += r.hedges_issued;
+        cost.hedges_won += r.hedges_won;
+        cost.hedges_wasted += r.hedges_wasted;
+        cost.retries_issued += r.retries_issued;
+        cost.budget_exhausted += r.budget_exhausted;
+        cost.deadline_exceeded += r.deadline_exceeded;
+        cost.cancelled += r.cancelled;
+    }
+    acc
+}
+
+/// Runs a grid on up to `jobs` workers; results come back in grid
+/// order regardless of scheduling, so downstream reports are
+/// byte-identical at any worker count.
+#[must_use]
+pub fn run_dc_cells<C: AsRef<DcCell> + Sync>(cells: &[C], jobs: usize) -> Vec<DcCellResult> {
+    run_dc_cells_with(cells, jobs, ObsMode::Exact)
+}
+
+/// [`run_dc_cells`] with an explicit retention mode (`--sketch` passes
+/// [`ObsMode::Sketch`]); the grid-order pool keeps either mode
+/// byte-identical at any `--jobs` value.
+#[must_use]
+pub fn run_dc_cells_with<C: AsRef<DcCell> + Sync>(
+    cells: &[C],
+    jobs: usize,
+    mode: ObsMode,
+) -> Vec<DcCellResult> {
+    sweep::pool::run_ordered(cells, jobs, move |_, cell| {
+        run_one_cell(cell.as_ref(), mode)
+    })
+}
+
+/// The `repro dc` report: the `sweep.json` cell schema over RPC round
+/// trips, with no extra fields.
+#[must_use]
+pub fn canonical_json(name: &str, results: &[DcCellResult]) -> String {
+    write_report(name, results, |r| &r.rtts, &[])
+}
+
+/// The one canonical writer, byte-compatible with the `sweep.json`
+/// cell schema (same fields, same formatting) so `oracle`'s parser
+/// and golden comparator apply unchanged. `samples` picks the set the
+/// statistics summarize; `extras[i]` follows cell `i`'s
+/// `verify_failures`.
+fn write_report(
+    name: &str,
+    results: &[DcCellResult],
+    samples: impl Fn(&DcCellResult) -> &Samples,
+    extras: &[Vec<Field>],
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    let _ = writeln!(out, "  \"name\": {},", json_string(name));
+    out.push_str("  \"cells\": {");
+    for (i, c) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let s = samples(c);
+        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
+        let _ = write!(out, "\"seed\": {}, ", c.seed);
+        let _ = write!(out, "\"reps\": {}, ", c.reps);
+        let _ = write!(out, "\"samples\": {}, ", s.len());
+        let _ = write!(out, "\"mean_us\": {}, ", json_num(s.mean_us()));
+        let _ = write!(out, "\"stddev_us\": {}, ", json_num(s.stddev_us()));
+        let _ = write!(out, "\"min_us\": {}, ", json_num(s.min_us()));
+        let _ = write!(out, "\"max_us\": {}, ", json_num(s.max_us()));
+        let _ = write!(out, "\"events\": {}, ", c.events);
+        let sim_us = json_num(c.sim_time.as_us_f64());
+        let _ = write!(out, "\"sim_time_us\": {sim_us}, ");
+        let _ = write!(out, "\"verify_failures\": {}", c.verify_failures);
+        for (field, value) in extras.get(i).into_iter().flatten() {
+            let _ = write!(out, ", \"{field}\": {value}");
+        }
+        out.push_str(" }");
+    }
+    out.push_str(if results.is_empty() { "}" } else { "\n  }" });
+    out.push_str("\n}\n");
+    out
+}
+
+/// A JSON number, or `null` for an honestly unavailable statistic
+/// (under-sampled p999, missing amplification baseline).
+fn opt_num(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), json_num)
+}
+
+/// A world cell on the staggered schedule.
+fn staggered(key: String, topo: Topology, reps: u64) -> DcCell {
+    DcCell {
+        key,
+        topo,
+        sched: TrafficSchedule::staggered(),
+        reps,
+    }
+}
+
+/// How deep a fan-out family runs: clients, measured rounds, warm-up
+/// rounds and repetitions.
+#[derive(Clone, Copy)]
+struct Depth {
+    clients: usize,
+    iterations: u64,
+    warmup: u64,
+    reps: u64,
+}
+
+impl Depth {
+    const fn new(clients: usize, iterations: u64, warmup: u64, reps: u64) -> Depth {
+        Depth {
+            clients,
+            iterations,
+            warmup,
+            reps,
+        }
+    }
+}
+
+/// The depth of the `+reno` re-runs: shallower than the base families
+/// (60 rounds, one rep), because the column of interest is the p99
+/// shift under cwnd dynamics, not a p999 floor.
+const RENO_DEPTH: Depth = Depth::new(4, 60, 2, 1);
+
+/// One fan-out cell of the tails or hedge family under `sc`'s faults.
+///
+/// The story is "a server hiccups", not "the whole fabric is broken":
+/// clients stay clean, so every tail in the data came from the remote
+/// side. Under `reno` the cell runs the cc-study transport — cold-start
+/// Reno over the classical-IP MTU with 16 kB sub-requests, so the
+/// congestion window actually binds — and its scenario is labelled
+/// `<name>+reno`. The base worlds move 200-byte single-segment
+/// sub-requests; cwnd never constrains one segment, so arming a
+/// variant there would change nothing. `key` builds the cell key from
+/// the scenario label and the depth tag `i<rounds>r<reps>`.
+fn fanout_cell(
+    sc: &latency_core::recovery::Scenario,
+    reno: bool,
+    width: usize,
+    depth: Depth,
+    key: impl FnOnce(&str, &str) -> String,
+) -> StudyCell {
+    let mut topo = Topology::fanout(depth.clients, width);
+    topo.iterations = depth.iterations;
+    topo.warmup = depth.warmup;
+    if !sc.faults.is_clean() {
+        topo.faults = Some(sc.faults);
+        topo.fault_scope = FaultScope::ServersOnly;
+    }
+    if reno {
+        topo.mtu = 1500;
+        topo.rpc_size = 16_000;
+        topo.stack.cc = CcVariant::Reno;
+        topo.stack.initial_cwnd_segs = Some(2);
+    }
+    let scenario = format!("{}{}", sc.name, if reno { "+reno" } else { "" });
+    let key = key(&scenario, &format!("i{}r{}", depth.iterations, depth.reps));
+    StudyCell {
+        cell: staggered(key, topo, depth.reps),
+        scenario,
+        mitigation: Mitigation::None,
+    }
+}
+
+/// `repro dc`: the switch-centered datacenter study. Sweeps client
+/// hosts x connections/host x PCB lookup strategy x incast fan-in,
+/// reporting per-cell RTT distributions next to the server-side PCB
+/// counters the paper's §3 cost model predicts. An aborted connection
+/// fails the run.
+pub struct DcStudy;
+
+/// Builds the dc grid from explicit axes.
+fn dc_cells(
     clients: &[usize],
     conns: &[usize],
     fanins: &[usize],
@@ -172,328 +532,124 @@ fn grid(
     cells
 }
 
-/// The full `repro dc` grid: hosts {2, 32, 256} x connections/host
-/// {1, 64} x all three strategies x fan-in {1, 16}.
-#[must_use]
-pub fn dc_grid() -> Vec<DcCell> {
-    grid(&[2, 32, 256], &[1, 64], &[1, 16], 3, 1)
-}
-
-/// The `--quick` grid (CI + golden): hosts {2, 8} x connections/host
-/// {1, 16} x all three strategies x fan-in {1, 4}.
-#[must_use]
-pub fn dc_quick_grid() -> Vec<DcCell> {
-    grid(&[2, 8], &[1, 16], &[1, 4], 2, 1)
-}
-
-/// The seed for repetition `rep` of the cell named `key`.
-///
-/// Rep 0 is the base seed itself — single-rep grids (every golden)
-/// see exactly the bytes they always did. Higher reps fold the rep
-/// number into the key *hash* rather than adding it to the seed: the
-/// old `base + rep` walk could land on a neighboring cell's base seed
-/// (cell seeds are only 32 bits of FNV output), silently correlating
-/// cells the grid treats as independent.
-#[must_use]
-pub fn rep_seed(key: &str, rep: u64) -> u64 {
-    let base = sweep::cell_seed(key);
-    if rep == 0 {
-        base
-    } else {
-        sweep::cell_seed(&format!("{key}/r{rep}"))
+impl Study for DcStudy {
+    fn name(&self) -> &'static str {
+        "dc"
     }
-}
 
-/// Runs one cell: every rep on its [`rep_seed`], outcomes pooled
-/// into `mode`-appropriate containers.
-fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
-    let seed = sweep::cell_seed(&cell.key);
-    let mut rtts = Samples::new(mode);
-    let mut events = 0;
-    let mut sim_time = SimTime::ZERO;
-    let mut verify_failures = 0;
-    let mut aborted_conns = 0;
-    let mut server_pcb = PcbCounters::default();
-    let mut switch_forwarded = 0;
-    let mut switch_drops = 0;
-    let mut epd_drops = 0;
-    let mut ppd_drops = 0;
-    let mut max_backlog_cells = 0;
-    let mut rexmits = 0;
-    let mut rto_fires = 0;
-    let mut completions = Samples::new(mode);
-    let mut fanout_aborts = 0;
-    let mut mbufs_leaked = 0;
-    let mut cost = MitigationCost::default();
-    for rep in 0..cell.reps.max(1) {
-        let r = run_dc(&cell.topo, cell.sched, rep_seed(&cell.key, rep));
-        rtts.extend_from(&r.rtts);
-        events += r.events;
-        sim_time = sim_time.max(r.sim_time);
-        verify_failures += r.verify_failures;
-        aborted_conns += r.aborted_conns;
-        server_pcb.lookups += r.server_pcb.lookups;
-        server_pcb.hits += r.server_pcb.hits;
-        server_pcb.misses += r.server_pcb.misses;
-        server_pcb.cache_hits += r.server_pcb.cache_hits;
-        server_pcb.cache_misses += r.server_pcb.cache_misses;
-        server_pcb.traversed += r.server_pcb.traversed;
-        server_pcb.hash_probes += r.server_pcb.hash_probes;
-        switch_forwarded += r.switch_forwarded;
-        switch_drops += r.switch_drops;
-        epd_drops += r.epd_drops;
-        ppd_drops += r.ppd_drops;
-        max_backlog_cells = max_backlog_cells.max(r.max_backlog_cells);
-        rexmits += r.rexmits;
-        rto_fires += r.rto_fires;
-        completions.extend_from(&r.completions);
-        fanout_aborts += r.fanout_aborts;
-        mbufs_leaked += r.mbufs_leaked;
-        cost.hedges_issued += r.hedges_issued;
-        cost.hedges_won += r.hedges_won;
-        cost.hedges_wasted += r.hedges_wasted;
-        cost.retries_issued += r.retries_issued;
-        cost.budget_exhausted += r.budget_exhausted;
-        cost.deadline_exceeded += r.deadline_exceeded;
-        cost.cancelled += r.cancelled;
+    /// Full: hosts {2, 32, 256} x connections/host {1, 64} x all three
+    /// strategies x fan-in {1, 16}. Quick: hosts {2, 8} x
+    /// connections/host {1, 16} x all three strategies x fan-in {1, 4}.
+    fn grid(&self, quick: bool) -> Vec<StudyCell> {
+        let cells = if quick {
+            dc_cells(&[2, 8], &[1, 16], &[1, 4], 2, 1)
+        } else {
+            dc_cells(&[2, 32, 256], &[1, 64], &[1, 16], 3, 1)
+        };
+        cells.into_iter().map(StudyCell::plain).collect()
     }
-    DcCellResult {
-        key: cell.key.clone(),
-        seed,
-        reps: cell.reps.max(1),
-        rtts,
-        events,
-        sim_time,
-        verify_failures,
-        aborted_conns,
-        server_pcb,
-        switch_forwarded,
-        switch_drops,
-        epd_drops,
-        ppd_drops,
-        max_backlog_cells,
-        rexmits,
-        rto_fires,
-        completions,
-        fanout_aborts,
-        mbufs_leaked,
-        cost,
-    }
-}
 
-/// Runs a grid on up to `jobs` workers; results come back in grid
-/// order regardless of scheduling, so downstream reports are
-/// byte-identical at any worker count.
-#[must_use]
-pub fn run_dc_cells(cells: &[DcCell], jobs: usize) -> Vec<DcCellResult> {
-    run_dc_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_dc_cells`] with an explicit retention mode (`--sketch` passes
-/// [`ObsMode::Sketch`]); the grid-order pool keeps either mode
-/// byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_dc_cells_with(cells: &[DcCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, cell| run_one_cell(cell, mode))
-}
-
-/// The deterministic report, byte-compatible with the `sweep.json`
-/// cell schema (same fields, same formatting) so `oracle`'s parser
-/// and golden comparator apply unchanged.
-#[must_use]
-pub fn canonical_json(name: &str, results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for c in results {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.rtts.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.rtts.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(c.rtts.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.rtts.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.rtts.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
+    /// One row per cell, then the §3 ordering made visible: per
+    /// (clients, conns, fan-in) group, the mean server-side search
+    /// length under each strategy. The single-entry cache's list
+    /// degrades as the PCB table grows; the hash table stays flat.
+    fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
             out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
+            "{:<28} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>8}",
+            "cell", "samples", "mean_us", "p50_us", "p99_us", "search", "hit%", "drops", "backlog"
         );
-        let _ = write!(out, "\"verify_failures\": {} }}", c.verify_failures);
+        for r in results {
+            let rec = r.rtts.recorder();
+            let _ = writeln!(
+                out,
+                "{:<28} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2} {:>6.1} {:>6} {:>8}",
+                r.key.trim_start_matches("dc/"),
+                r.rtts.len(),
+                rec.mean_us(),
+                rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
+                rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
+                r.search_len(),
+                r.cache_hit_rate() * 100.0,
+                r.switch_drops,
+                r.max_backlog_cells
+            );
+        }
+        let group = |t: &Topology| (t.clients, t.conns_per_host, t.effective_fanin());
+        let groups: std::collections::BTreeSet<_> =
+            cells.iter().map(|c| group(&c.cell.topo)).collect();
+        out.push_str("\nserver-side mean search length by strategy (PCB lookup, §3):\n");
+        let _ = writeln!(
+            out,
+            "{:<20} {:>8} {:>8} {:>8}",
+            "clients x conns x fanin", "mtf", "cache", "hash"
+        );
+        for (h, c, f) in groups {
+            let of = |strategy: PcbStrategy| {
+                cells
+                    .iter()
+                    .zip(results)
+                    .find(|(x, _)| {
+                        group(&x.cell.topo) == (h, c, f) && x.cell.topo.strategy == strategy
+                    })
+                    .map_or(f64::NAN, |(_, r)| r.search_len())
+            };
+            let [mtf, cache, hash] = PcbStrategy::ALL.map(of);
+            let _ = writeln!(
+                out,
+                "h{h:<4} c{c:<4} f{f:<6} {mtf:>8.2} {cache:>8.2} {hash:>8.2}"
+            );
+        }
+        out
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
+
+    fn extra_failure(&self, r: &DcCellResult) -> bool {
+        r.aborted_conns > 0
     }
-    out.push_str("\n}\n");
-    out
 }
 
-/// One `repro tails` cell: a fan-out world plus the study axes the
-/// reducer needs back out (scenario name, width, churn flag).
-pub struct TailsCell {
-    /// The underlying world cell (key, topology, schedule, reps).
-    pub cell: DcCell,
-    /// Scenario name from [`latency_core::tails::scenarios`].
-    pub scenario: String,
-    /// Fan-out width N.
-    pub width: usize,
-    /// Whether background churn traffic shares the fabric.
-    pub churn: bool,
-}
+/// `repro tails`: the fan-out/wait-for-all completion-tail study. Each
+/// client issues one logical request as N parallel sub-requests to N
+/// distinct servers and completes on the slowest reply; the table
+/// reports completion p50/p99/p999 and the tail-amplification ratio
+/// (p99 at fan-out N over p99 at fan-out 1) per faultkit scenario,
+/// with and without background churn traffic.
+///
+/// Retransmit-limit aborts are *data*, not failures: the
+/// mbuf-exhaustion regime is expected to kill client rounds, and the
+/// table flags such cells with `!`.
+pub struct TailsStudy;
 
-/// Builds the tails grid from explicit axes: every scenario x every
-/// fan-out width x churn {off, on}.
-fn tails_grid_from(
-    widths: &[usize],
-    clients: usize,
-    iterations: u64,
-    warmup: u64,
-    reps: u64,
-) -> Vec<TailsCell> {
+/// Builds a tails family: every scenario x every fan-out width x
+/// every churn setting.
+///
+/// The `+reno` family re-runs the headline cells at fan-out {1, 16},
+/// churn off. Width 1 rides along as the in-family amplification
+/// baseline — `amplify` groups by the scenario label, so
+/// `burst-loss+reno/f16` is priced against `burst-loss+reno/f1`, not
+/// against the warm-stack cells.
+fn tails_cells(widths: &[usize], churns: &[bool], depth: Depth, reno: bool) -> Vec<StudyCell> {
     let mut cells = Vec::new();
     for sc in latency_core::tails::scenarios() {
         for &w in widths {
-            for churn in [false, true] {
-                let mut topo = Topology::fanout(clients, w);
-                topo.iterations = iterations;
-                topo.warmup = warmup;
-                if !sc.faults.is_clean() {
-                    topo.faults = Some(sc.faults);
-                    // The story is "a server hiccups", not "the whole
-                    // fabric is broken": clients stay clean so every
-                    // tail in the data came from the remote side.
-                    topo.fault_scope = FaultScope::ServersOnly;
-                }
-                if churn {
-                    topo.churn = Some(ChurnTraffic::background());
-                }
-                let key = format!(
-                    "tails/{}/f{}/{}/i{}r{}",
-                    sc.name,
-                    w,
-                    if churn { "churn" } else { "solo" },
-                    iterations,
-                    reps,
-                );
-                cells.push(TailsCell {
-                    cell: DcCell {
-                        key,
-                        topo,
-                        sched: TrafficSchedule::staggered(),
-                        reps,
-                    },
-                    scenario: sc.name.to_string(),
-                    width: w,
-                    churn,
+            for &churn in churns {
+                let solo = if churn { "churn" } else { "solo" };
+                let mut c = fanout_cell(&sc, reno, w, depth, |label, d| {
+                    format!("tails/{label}/f{w}/{solo}/{d}")
                 });
+                if churn {
+                    c.cell.topo.churn = Some(ChurnTraffic::background());
+                }
+                cells.push(c);
             }
         }
     }
     cells
 }
 
-/// The full `repro tails` grid: fan-out {1, 4, 16, 64} x all four
-/// scenarios x churn {off, on}, sized so every un-aborted cell clears
-/// the p999 sample floor three times over (4 clients x 250 measured
-/// rounds x 3 reps = 3000 completions — a p99 estimate stable enough
-/// for the amplification ratio to be trusted), plus the `+reno`
-/// headline re-runs ([`arm_cold_reno`]).
-#[must_use]
-pub fn tails_grid() -> Vec<TailsCell> {
-    let mut cells = tails_grid_from(&[1, 4, 16, 64], 4, 250, 2, 3);
-    cells.extend(tails_reno_rerun());
-    cells
-}
-
-/// Arms the cc-study transport on a fan-out topology: cold-start Reno
-/// over the classical-IP MTU with 16 kB sub-requests, so the
-/// congestion window actually binds. The original tails/hedge worlds
-/// move 200-byte single-segment sub-requests — cwnd never constrains
-/// one segment, so arming a variant there changes nothing; the `+reno`
-/// re-runs swap in the transport configuration of the cc study and
-/// keep everything else (faults, scope, schedule) from the headline
-/// cell.
-fn arm_cold_reno(topo: &mut Topology) {
-    topo.mtu = 1500;
-    topo.rpc_size = 16_000;
-    topo.stack.cc = CcVariant::Reno;
-    topo.stack.initial_cwnd_segs = Some(2);
-}
-
-/// The `+reno` re-runs of the tails headline cells: every scenario at
-/// fan-out {1, 16}, churn off, under [`arm_cold_reno`]. Width 1 rides
-/// along as the in-family amplification baseline — `amplify` groups by
-/// the scenario label, so `burst-loss+reno/f16` is priced against
-/// `burst-loss+reno/f1`, not against the warm-stack cells. Shallower
-/// than the base family (60 rounds, one rep): the column of interest
-/// is the p99 shift under cwnd dynamics, not a p999 floor.
-fn tails_reno_rerun() -> Vec<TailsCell> {
-    let mut cells = Vec::new();
-    for sc in latency_core::tails::scenarios() {
-        for &w in &[1usize, 16] {
-            let mut topo = Topology::fanout(4, w);
-            topo.iterations = 60;
-            topo.warmup = 2;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
-            arm_cold_reno(&mut topo);
-            let key = format!("tails/{}+reno/f{w}/solo/i60r1", sc.name);
-            cells.push(TailsCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps: 1,
-                },
-                scenario: format!("{}+reno", sc.name),
-                width: w,
-                churn: false,
-            });
-        }
-    }
-    cells
-}
-
-/// The `--quick` grid (CI + golden): fan-out {1, 4, 16} x all four
-/// scenarios x churn {off, on}, 2 clients x 6 measured rounds. Small
-/// enough for CI; its p999 column is honestly `null` throughout.
-#[must_use]
-pub fn tails_quick_grid() -> Vec<TailsCell> {
-    tails_grid_from(&[1, 4, 16], 2, 6, 1, 1)
-}
-
-/// Runs a tails grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_tails_cells(cells: &[TailsCell], jobs: usize) -> Vec<DcCellResult> {
-    run_tails_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_tails_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_tails_cells_with(cells: &[TailsCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, tc| run_one_cell(&tc.cell, mode))
-}
-
-/// Reduces grid results to table rows, amplification filled in.
-#[must_use]
-pub fn tails_rows(
-    cells: &[TailsCell],
-    results: &[DcCellResult],
-) -> Vec<latency_core::tails::TailsRow> {
+/// Reduces tails results to table rows, amplification filled in.
+fn tails_rows(cells: &[StudyCell], results: &[DcCellResult]) -> Vec<latency_core::tails::TailsRow> {
     assert_eq!(
         cells.len(),
         results.len(),
@@ -502,11 +658,11 @@ pub fn tails_rows(
     let mut rows: Vec<_> = cells
         .iter()
         .zip(results)
-        .map(|(tc, r)| {
+        .map(|(c, r)| {
             latency_core::tails::reduce(
-                &tc.scenario,
-                tc.width,
-                tc.churn,
+                &c.scenario,
+                c.cell.topo.fanout_width,
+                c.cell.topo.churn.is_some(),
                 &r.completions,
                 r.fanout_aborts,
             )
@@ -516,77 +672,73 @@ pub fn tails_rows(
     rows
 }
 
-/// The deterministic tails report: the `sweep.json` cell schema (over
-/// *completion* samples) plus tails-only fields appended after
-/// `verify_failures`. The oracle's parser carries unknown numeric
-/// fields as extras and the golden comparator checks them pairwise;
-/// `null` marks an honestly-unavailable statistic (under-sampled p999,
-/// missing amplification baseline) and must match as `null`.
-#[must_use]
-pub fn tails_canonical_json(name: &str, cells: &[TailsCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let rows = tails_rows(cells, results);
-    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_num);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
+impl Study for TailsStudy {
+    fn name(&self) -> &'static str {
+        "tails"
+    }
+
+    /// Full: fan-out {1, 4, 16, 64} x all four scenarios x churn {off,
+    /// on}, sized so every un-aborted cell clears the p999 sample
+    /// floor three times over (4 clients x 250 measured rounds x 3
+    /// reps = 3000 completions — a p99 estimate stable enough for the
+    /// amplification ratio to be trusted), plus the `+reno` headline
+    /// re-runs (cold-start Reno, see `fanout_cell`). Quick: fan-out
+    /// {1, 4, 16} x all four scenarios x churn {off, on}, 2 clients x
+    /// 6 measured rounds; its p999 column is honestly `null`
+    /// throughout.
+    fn grid(&self, quick: bool) -> Vec<StudyCell> {
+        let both = [false, true];
+        if quick {
+            return tails_cells(&[1, 4, 16], &both, Depth::new(2, 6, 1, 1), false);
         }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.completions.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.completions.mean_us()));
-        let _ = write!(
-            out,
-            "\"stddev_us\": {}, ",
-            json_num(c.completions.stddev_us())
-        );
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.completions.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.completions.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let p50 = (row.samples > 0).then_some(row.p50_us);
-        let p99 = (row.samples > 0).then_some(row.p99_us);
-        let _ = write!(out, "\"p50_us\": {}, ", opt(p50));
-        let _ = write!(out, "\"p99_us\": {}, ", opt(p99));
-        let _ = write!(out, "\"p999_us\": {}, ", opt(row.p999_us));
-        let _ = write!(out, "\"amp_p50\": {}, ", opt(row.amp_p50));
-        let _ = write!(out, "\"amp_p99\": {}, ", opt(row.amp_p99));
-        let _ = write!(out, "\"fanout_aborts\": {} }}", c.fanout_aborts);
+        let mut cells = tails_cells(&[1, 4, 16, 64], &both, Depth::new(4, 250, 2, 3), false);
+        cells.extend(tails_cells(&[1, 16], &[false], RENO_DEPTH, true));
+        cells
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
+
+    fn samples<'r>(&self, r: &'r DcCellResult) -> &'r Samples {
+        &r.completions
     }
-    out.push_str("\n}\n");
-    out
+
+    /// Completion percentiles, amplification and aborts; `null` marks
+    /// an honestly unavailable statistic and must match as `null`.
+    fn extra_fields(&self, cells: &[StudyCell], results: &[DcCellResult]) -> Vec<Vec<Field>> {
+        let rows = tails_rows(cells, results);
+        results
+            .iter()
+            .zip(&rows)
+            .map(|(r, row)| {
+                let sampled = row.samples > 0;
+                vec![
+                    ("p50_us", opt_num(sampled.then_some(row.p50_us))),
+                    ("p99_us", opt_num(sampled.then_some(row.p99_us))),
+                    ("p999_us", opt_num(row.p999_us)),
+                    ("amp_p50", opt_num(row.amp_p50)),
+                    ("amp_p99", opt_num(row.amp_p99)),
+                    ("fanout_aborts", r.fanout_aborts.to_string()),
+                ]
+            })
+            .collect()
+    }
+
+    fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
+        latency_core::tails::format_table(&tails_rows(cells, results))
+    }
 }
 
-/// One `repro hedge` cell: a fan-out-16 world under one fault regime
-/// and one tail mitigation.
-pub struct HedgeCell {
-    /// The underlying world cell (key, topology, schedule, reps).
-    pub cell: DcCell,
-    /// Scenario name from [`latency_core::hedge::scenarios`].
-    pub scenario: String,
-    /// The mitigation this cell runs under.
-    pub mitigation: Mitigation,
-    /// Fan-out width N.
-    pub width: usize,
-}
+/// `repro hedge`: the tail-tolerant RPC study. Every cell runs the
+/// fan-out-16 world under one fault regime (clean, burst-loss, host
+/// pause windows, link flap) and one mitigation (none, deadline,
+/// budgeted retries, hedged requests, hedge + first-K-of-N), and the
+/// table prices each mitigation's p50/p99/p999 against the
+/// unmitigated baseline — `amp(p99) < 1` means the mitigation cut the
+/// tail — next to its cost counters (hedges won/wasted, retries
+/// issued/suppressed, deadline busts).
+///
+/// Like `repro tails`, retransmit-limit aborts are data (`!` rows);
+/// a leaked mbuf after teardown (cancelled and hedged requests must
+/// clean up) fails the run like in every study.
+pub struct HedgeStudy;
 
 /// Maps a study mitigation onto the world's [`TailPolicy`].
 ///
@@ -616,125 +768,32 @@ pub fn mitigation_policy(m: Mitigation, width: usize) -> Option<TailPolicy> {
     }
 }
 
-/// Builds the hedge grid: every scenario x every mitigation at one
-/// fan-out width.
-fn hedge_grid_from(
-    width: usize,
-    clients: usize,
-    iterations: u64,
-    warmup: u64,
-    reps: u64,
-) -> Vec<HedgeCell> {
+/// Builds a hedge family: every scenario x every listed mitigation
+/// at fan-out 16.
+///
+/// The `+reno` family pairs the baseline with the retry mitigation.
+/// It targets the retry-storm column: `retries_issued` and `amp_p99`
+/// (priced against the in-family `+reno`/`none` baseline) show how
+/// slow-start restarts after loss stretch sub-request completions into
+/// the retry window.
+fn hedge_cells(mitigations: &[Mitigation], depth: Depth, reno: bool) -> Vec<StudyCell> {
+    const WIDTH: usize = 16;
     let mut cells = Vec::new();
     for sc in latency_core::hedge::scenarios() {
-        for m in MITIGATIONS {
-            let mut topo = Topology::fanout(clients, width);
-            topo.iterations = iterations;
-            topo.warmup = warmup;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                // Same story as the tails study: the servers hiccup,
-                // the clients stay clean, every tail is remote.
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
-            topo.tail = mitigation_policy(m, width);
-            let key = format!(
-                "hedge/{}/{}/f{}/i{}r{}",
-                sc.name,
-                m.tag(),
-                width,
-                iterations,
-                reps,
-            );
-            cells.push(HedgeCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps,
-                },
-                scenario: sc.name.to_string(),
-                mitigation: m,
-                width,
+        for &m in mitigations {
+            let mut c = fanout_cell(&sc, reno, WIDTH, depth, |label, d| {
+                format!("hedge/{label}/{}/f{WIDTH}/{d}", m.tag())
             });
+            c.cell.topo.tail = mitigation_policy(m, WIDTH);
+            c.mitigation = m;
+            cells.push(c);
         }
     }
     cells
 }
 
-/// The full `repro hedge` grid: all four scenarios x all five
-/// mitigations at fan-out 16, sized to clear the p999 sample floor
-/// (4 clients x 150 measured rounds x 2 reps = 1200 completions per
-/// cell), plus the `+reno` headline re-runs ([`arm_cold_reno`]).
-#[must_use]
-pub fn hedge_grid() -> Vec<HedgeCell> {
-    let mut cells = hedge_grid_from(16, 4, 150, 2, 2);
-    cells.extend(hedge_reno_rerun());
-    cells
-}
-
-/// The `+reno` re-runs of the hedge headline cells: every scenario at
-/// fan-out 16 under the baseline and the retry mitigation, with
-/// [`arm_cold_reno`] dynamics. The pairing targets the retry-storm
-/// column: `retries_issued` and `amp_p99` (priced against the
-/// in-family `+reno`/`none` baseline) show how slow-start restarts
-/// after loss stretch sub-request completions into the retry window.
-fn hedge_reno_rerun() -> Vec<HedgeCell> {
-    let mut cells = Vec::new();
-    for sc in latency_core::hedge::scenarios() {
-        for m in [Mitigation::None, Mitigation::Retry] {
-            let mut topo = Topology::fanout(4, 16);
-            topo.iterations = 60;
-            topo.warmup = 2;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
-            topo.tail = mitigation_policy(m, 16);
-            arm_cold_reno(&mut topo);
-            let key = format!("hedge/{}+reno/{}/f16/i60r1", sc.name, m.tag());
-            cells.push(HedgeCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps: 1,
-                },
-                scenario: format!("{}+reno", sc.name),
-                mitigation: m,
-                width: 16,
-            });
-        }
-    }
-    cells
-}
-
-/// The `--quick` grid (CI + golden): the same 4 x 5 cells at 2
-/// clients x 6 measured rounds. Its p999 column is honestly `null`.
-#[must_use]
-pub fn hedge_quick_grid() -> Vec<HedgeCell> {
-    hedge_grid_from(16, 2, 6, 1, 1)
-}
-
-/// Runs a hedge grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_hedge_cells(cells: &[HedgeCell], jobs: usize) -> Vec<DcCellResult> {
-    run_hedge_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_hedge_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_hedge_cells_with(cells: &[HedgeCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, hc| run_one_cell(&hc.cell, mode))
-}
-
-/// Reduces grid results to table rows, `amp_p99` filled in.
-#[must_use]
-pub fn hedge_rows(
-    cells: &[HedgeCell],
-    results: &[DcCellResult],
-) -> Vec<latency_core::hedge::HedgeRow> {
+/// Reduces hedge results to table rows, `amp_p99` filled in.
+fn hedge_rows(cells: &[StudyCell], results: &[DcCellResult]) -> Vec<latency_core::hedge::HedgeRow> {
     assert_eq!(
         cells.len(),
         results.len(),
@@ -743,11 +802,11 @@ pub fn hedge_rows(
     let mut rows: Vec<_> = cells
         .iter()
         .zip(results)
-        .map(|(hc, r)| {
+        .map(|(c, r)| {
             latency_core::hedge::reduce(
-                &hc.scenario,
-                hc.mitigation.tag(),
-                hc.width,
+                &c.scenario,
+                c.mitigation.tag(),
+                c.cell.topo.fanout_width,
                 &r.completions,
                 r.fanout_aborts,
                 r.cost,
@@ -758,81 +817,72 @@ pub fn hedge_rows(
     rows
 }
 
-/// The deterministic hedge report: the `sweep.json` cell schema over
-/// completion samples, plus the percentile, amplification, and
-/// mitigation-cost fields appended after `verify_failures`.
-#[must_use]
-pub fn hedge_canonical_json(name: &str, cells: &[HedgeCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let rows = hedge_rows(cells, results);
-    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_num);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
+impl Study for HedgeStudy {
+    fn name(&self) -> &'static str {
+        "hedge"
+    }
+
+    /// Full: all four scenarios x all five mitigations at fan-out 16,
+    /// sized to clear the p999 sample floor (4 clients x 150 measured
+    /// rounds x 2 reps = 1200 completions per cell), plus the `+reno`
+    /// headline re-runs (cold-start Reno, see `fanout_cell`). Quick:
+    /// the same 4 x 5 cells at 2 clients x 6 measured rounds; its p999
+    /// column is honestly `null`.
+    fn grid(&self, quick: bool) -> Vec<StudyCell> {
+        if quick {
+            return hedge_cells(&MITIGATIONS, Depth::new(2, 6, 1, 1), false);
         }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.completions.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.completions.mean_us()));
-        let _ = write!(
-            out,
-            "\"stddev_us\": {}, ",
-            json_num(c.completions.stddev_us())
-        );
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.completions.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.completions.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let p50 = (row.samples > 0).then_some(row.p50_us);
-        let p99 = (row.samples > 0).then_some(row.p99_us);
-        let _ = write!(out, "\"p50_us\": {}, ", opt(p50));
-        let _ = write!(out, "\"p99_us\": {}, ", opt(p99));
-        let _ = write!(out, "\"p999_us\": {}, ", opt(row.p999_us));
-        let _ = write!(out, "\"amp_p99\": {}, ", opt(row.amp_p99));
-        let _ = write!(out, "\"hedges_issued\": {}, ", c.cost.hedges_issued);
-        let _ = write!(out, "\"hedges_won\": {}, ", c.cost.hedges_won);
-        let _ = write!(out, "\"hedges_wasted\": {}, ", c.cost.hedges_wasted);
-        let _ = write!(out, "\"retries_issued\": {}, ", c.cost.retries_issued);
-        let _ = write!(out, "\"budget_exhausted\": {}, ", c.cost.budget_exhausted);
-        let _ = write!(out, "\"deadline_exceeded\": {}, ", c.cost.deadline_exceeded);
-        let _ = write!(out, "\"cancelled\": {}, ", c.cost.cancelled);
-        let _ = write!(out, "\"mbufs_leaked\": {}, ", c.mbufs_leaked);
-        let _ = write!(out, "\"fanout_aborts\": {} }}", c.fanout_aborts);
+        let mut cells = hedge_cells(&MITIGATIONS, Depth::new(4, 150, 2, 2), false);
+        let renos = [Mitigation::None, Mitigation::Retry];
+        cells.extend(hedge_cells(&renos, RENO_DEPTH, true));
+        cells
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
+
+    fn samples<'r>(&self, r: &'r DcCellResult) -> &'r Samples {
+        &r.completions
     }
-    out.push_str("\n}\n");
-    out
+
+    /// Completion percentiles, amplification, and the mitigation-cost
+    /// ledger.
+    fn extra_fields(&self, cells: &[StudyCell], results: &[DcCellResult]) -> Vec<Vec<Field>> {
+        let rows = hedge_rows(cells, results);
+        results
+            .iter()
+            .zip(&rows)
+            .map(|(r, row)| {
+                let sampled = row.samples > 0;
+                vec![
+                    ("p50_us", opt_num(sampled.then_some(row.p50_us))),
+                    ("p99_us", opt_num(sampled.then_some(row.p99_us))),
+                    ("p999_us", opt_num(row.p999_us)),
+                    ("amp_p99", opt_num(row.amp_p99)),
+                    ("hedges_issued", r.cost.hedges_issued.to_string()),
+                    ("hedges_won", r.cost.hedges_won.to_string()),
+                    ("hedges_wasted", r.cost.hedges_wasted.to_string()),
+                    ("retries_issued", r.cost.retries_issued.to_string()),
+                    ("budget_exhausted", r.cost.budget_exhausted.to_string()),
+                    ("deadline_exceeded", r.cost.deadline_exceeded.to_string()),
+                    ("cancelled", r.cost.cancelled.to_string()),
+                    ("mbufs_leaked", r.mbufs_leaked.to_string()),
+                    ("fanout_aborts", r.fanout_aborts.to_string()),
+                ]
+            })
+            .collect()
+    }
+
+    fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
+        latency_core::hedge::format_table(&hedge_rows(cells, results))
+    }
 }
 
-/// One `repro cc` cell: an incast world under one congestion-control
-/// variant, one cell-drop policy, and one switch buffer size.
-pub struct CcCell {
-    /// The underlying world cell (key, topology, schedule, reps).
-    pub cell: DcCell,
-    /// The sender-side congestion-control variant.
-    pub variant: CcVariant,
-    /// The switch's UBR cell-drop policy.
-    pub policy: DropPolicy,
-    /// The switch's output-queue capacity in cells.
-    pub queue_cells: usize,
-}
+/// `repro cc`: the congestion-control study. Every cell runs a
+/// cold-start 4-client incast (16 kB RPCs into one server port) under
+/// one sender variant (Tahoe, Reno, NewReno, SACK), one UBR cell-drop
+/// policy (tail, EPD, PPD), and one switch buffer size, and the table
+/// reports goodput next to the recovery-latency percentiles and the
+/// loss ledger (retransmits, RTO fires, cells dropped per policy).
+/// Retransmissions and RTOs are the study's *data*.
+pub struct CcStudy;
 
 /// The drop policies the cc study sweeps for a given buffer size.
 ///
@@ -840,8 +890,7 @@ pub struct CcCell {
 /// headroom below capacity to be "early" at all, and half is the
 /// classic rule of thumb — deep enough to admit a committed train's
 /// tail, shallow enough to refuse new trains before tail drop starts.
-#[must_use]
-pub fn cc_policies(queue_cells: usize) -> [DropPolicy; 3] {
+fn cc_policies(queue_cells: usize) -> [DropPolicy; 3] {
     [
         DropPolicy::Tail,
         DropPolicy::Epd {
@@ -852,21 +901,22 @@ pub fn cc_policies(queue_cells: usize) -> [DropPolicy; 3] {
 }
 
 /// Builds the cc grid: every variant x every drop policy x every
-/// buffer size, over a 4-client incast into one server port.
+/// buffer size, over a 4-client incast into one server port, 16 kB
+/// RPCs, 3 measured rounds.
 ///
 /// The worlds start **cold** (`initial_cwnd_segs = Some(2)`) so slow
 /// start, loss recovery and the variant differences are actually on
 /// the wire, and the switch reads AAL3/4 SAR segment types for train
 /// boundaries — the adaptation layer the world's NICs run.
-fn cc_grid_from(buffers: &[usize], rpc_size: usize, iterations: u64, warmup: u64) -> Vec<CcCell> {
+fn cc_cells(buffers: &[usize]) -> Vec<StudyCell> {
     let mut cells = Vec::new();
     for variant in CcVariant::ALL {
         for &q in buffers {
             for policy in cc_policies(q) {
                 let mut topo = Topology::incast(4, 4, 1);
-                topo.rpc_size = rpc_size;
-                topo.iterations = iterations;
-                topo.warmup = warmup;
+                topo.rpc_size = 16_000;
+                topo.iterations = 3;
+                topo.warmup = 1;
                 // Classical-IP LIS MTU: MSS 1460 instead of the ATM
                 // 9188. A 16 kB RPC is then ~11 segments, so a loss
                 // leaves enough trailing segments to generate the dup
@@ -879,250 +929,231 @@ fn cc_grid_from(buffers: &[usize], rpc_size: usize, iterations: u64, warmup: u64
                 topo.switch.queue_cells = q;
                 topo.switch.drop_policy = policy;
                 topo.switch.marking = TrainMarking::Aal34SegType;
-                let key = format!(
-                    "cc/{}/{}/q{}/i{}r1",
-                    variant.name(),
-                    policy.name(),
-                    q,
-                    iterations,
-                );
-                cells.push(CcCell {
-                    cell: DcCell {
-                        key,
-                        topo,
-                        sched: TrafficSchedule::staggered(),
-                        reps: 1,
-                    },
-                    variant,
-                    policy,
-                    queue_cells: q,
-                });
+                let key = format!("cc/{}/{}/q{q}/i3r1", variant.name(), policy.name());
+                cells.push(StudyCell::plain(staggered(key, topo, 1)));
             }
         }
     }
     cells
 }
 
-/// The full `repro cc` grid: 4 variants x 3 policies x buffers
-/// {128, 256, 512, 1024} cells, 16 kB RPCs, 3 measured rounds.
-///
-/// 128 cells is barely more than one 16 kB request's worth of AAL3/4
-/// cells, so a 4-way incast overruns it hard; 1024 gives the fabric
-/// real room. The cc worlds are loss-deterministic (overflow, not a
-/// fault process), so the full grid widens along the *buffer* axis
-/// rather than re-running the same cell under more seeds or deeper
-/// into steady-state congestion, where every variant collapses into
-/// back-to-back RTO towers and the contrast washes out.
-#[must_use]
-pub fn cc_grid() -> Vec<CcCell> {
-    cc_grid_from(&[128, 256, 512, 1024], 16_000, 3, 1)
-}
-
-/// The `--quick` grid (CI + golden): the {128, 512} buffer subset,
-/// 24 cells.
-#[must_use]
-pub fn cc_quick_grid() -> Vec<CcCell> {
-    cc_grid_from(&[128, 512], 16_000, 3, 1)
-}
-
-/// Runs a cc grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_cc_cells(cells: &[CcCell], jobs: usize) -> Vec<DcCellResult> {
-    run_cc_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_cc_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_cc_cells_with(cells: &[CcCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, cc| run_one_cell(&cc.cell, mode))
-}
-
-/// One reduced cc-study row: goodput, recovery-latency percentiles,
-/// and the loss ledger for one (variant, policy, buffer) cell.
-pub struct CcRow {
-    /// Congestion-control variant name.
-    pub variant: &'static str,
-    /// Drop-policy name.
-    pub policy: &'static str,
-    /// Switch queue capacity in cells.
-    pub queue_cells: usize,
-    /// Measured RPC round-trips.
-    pub samples: usize,
+/// The derived columns of one cc cell; the loss ledger is read from
+/// the cell result directly.
+struct CcRow {
     /// Per-flow application goodput in Mbit/s over the measured RPCs:
     /// one round trip's request+echo payload bits over the mean round
     /// trip. Recovery stalls (RTO towers especially) land in the mean,
     /// so wasted windows show up here even though the final simulated
     /// time — which also spans warmup and trailing timer drain — does
     /// not enter the figure.
-    pub goodput_mbps: f64,
-    /// Median RPC round-trip in µs.
-    pub p50_us: f64,
-    /// 99th-percentile RPC round-trip in µs — recovery latency lives
+    goodput_mbps: f64,
+    /// Median RPC round trip in µs.
+    p50_us: f64,
+    /// 99th-percentile RPC round trip in µs — recovery latency lives
     /// in this tail: a round trip is slow exactly when its segments
     /// needed retransmission.
-    pub p99_us: f64,
-    /// Worst RPC round-trip in µs.
-    pub max_us: f64,
-    /// Segments retransmitted (RTO + fast), all hosts.
-    pub rexmits: u64,
-    /// Retransmission timeouts fired, all hosts.
-    pub rto_fires: u64,
-    /// Cells tail-dropped at full queues.
-    pub queue_drops: u64,
-    /// Cells refused whole by EPD.
-    pub epd_drops: u64,
-    /// Train remainders discarded by PPD.
-    pub ppd_drops: u64,
-    /// Connections aborted at the retransmit limit.
-    pub aborted_conns: u64,
+    p99_us: f64,
+    /// Worst RPC round trip in µs.
+    max_us: f64,
 }
 
-/// Reduces cc grid results to table rows.
-///
-/// # Panics
-///
-/// Panics if `cells` and `results` disagree in length.
-#[must_use]
-pub fn cc_rows(cells: &[CcCell], results: &[DcCellResult]) -> Vec<CcRow> {
-    assert_eq!(
-        cells.len(),
-        results.len(),
-        "rows require one result per cell"
-    );
-    cells
-        .iter()
-        .zip(results)
-        .map(|(cc, r)| {
-            let rec = r.rtts.recorder();
-            let us = |ns: i64| ns as f64 / 1_000.0;
-            let rpc_bits = (cc.cell.topo.rpc_size * 2 * 8) as f64;
-            let mean_us = r.rtts.mean_us();
-            let goodput_mbps = if mean_us > 0.0 {
+impl CcRow {
+    fn new(c: &StudyCell, r: &DcCellResult) -> CcRow {
+        let rec = r.rtts.recorder();
+        let us = |ns: i64| ns as f64 / 1_000.0;
+        let rpc_bits = (c.cell.topo.rpc_size * 2 * 8) as f64;
+        let mean_us = r.rtts.mean_us();
+        CcRow {
+            goodput_mbps: if mean_us > 0.0 {
                 rpc_bits / mean_us
             } else {
                 0.0
-            };
-            CcRow {
-                variant: cc.variant.name(),
-                policy: cc.policy.name(),
-                queue_cells: cc.queue_cells,
-                samples: r.rtts.len(),
-                goodput_mbps,
-                p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-                p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
-                max_us: us(rec.max_ns().unwrap_or(0)),
-                rexmits: r.rexmits,
-                rto_fires: r.rto_fires,
-                queue_drops: r.switch_drops,
-                epd_drops: r.epd_drops,
-                ppd_drops: r.ppd_drops,
-                aborted_conns: r.aborted_conns,
-            }
-        })
-        .collect()
+            },
+            p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
+            p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
+            max_us: us(rec.max_ns().unwrap_or(0)),
+        }
+    }
 }
 
-/// The deterministic cc report: the `sweep.json` cell schema over RPC
-/// round-trip samples, plus the goodput, percentile, retransmission
-/// and drop-ledger fields appended after `verify_failures`.
-#[must_use]
-pub fn cc_canonical_json(name: &str, cells: &[CcCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let rows = cc_rows(cells, results);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
+impl Study for CcStudy {
+    fn name(&self) -> &'static str {
+        "cc"
+    }
+
+    /// Full: 4 variants x 3 policies x buffers {128, 256, 512, 1024}
+    /// cells. Quick: the {128, 512} buffer subset, 24 cells.
+    ///
+    /// 128 cells is barely more than one 16 kB request's worth of
+    /// AAL3/4 cells, so a 4-way incast overruns it hard; 1024 gives
+    /// the fabric real room. The cc worlds are loss-deterministic
+    /// (overflow, not a fault process), so the full grid widens along
+    /// the *buffer* axis rather than re-running the same cell under
+    /// more seeds or deeper into steady-state congestion, where every
+    /// variant collapses into back-to-back RTO towers and the contrast
+    /// washes out.
+    fn grid(&self, quick: bool) -> Vec<StudyCell> {
+        if quick {
+            cc_cells(&[128, 512])
+        } else {
+            cc_cells(&[128, 256, 512, 1024])
         }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.rtts.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.rtts.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(c.rtts.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.rtts.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.rtts.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
+    }
+
+    /// Goodput, recovery-latency percentiles and the drop ledger.
+    fn extra_fields(&self, cells: &[StudyCell], results: &[DcCellResult]) -> Vec<Vec<Field>> {
+        cells
+            .iter()
+            .zip(results)
+            .map(|(c, r)| {
+                let row = CcRow::new(c, r);
+                vec![
+                    ("goodput_mbps", json_num(row.goodput_mbps)),
+                    ("p50_us", json_num(row.p50_us)),
+                    ("p99_us", json_num(row.p99_us)),
+                    ("rexmits", r.rexmits.to_string()),
+                    ("rto_fires", r.rto_fires.to_string()),
+                    ("queue_drops", r.switch_drops.to_string()),
+                    ("epd_drops", r.epd_drops.to_string()),
+                    ("ppd_drops", r.ppd_drops.to_string()),
+                    ("aborted_conns", r.aborted_conns.to_string()),
+                    ("mbufs_leaked", r.mbufs_leaked.to_string()),
+                ]
+            })
+            .collect()
+    }
+
+    fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
             out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
+            "{:<8} {:<5} {:>5} {:>7} {:>8} {:>9} {:>9} {:>10} {:>7} {:>4} {:>6} {:>6} {:>6}",
+            "variant",
+            "drop",
+            "queue",
+            "samples",
+            "goodput",
+            "p50_us",
+            "p99_us",
+            "max_us",
+            "rexmit",
+            "rto",
+            "qdrop",
+            "epd",
+            "ppd"
         );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let _ = write!(out, "\"goodput_mbps\": {}, ", json_num(row.goodput_mbps));
-        let _ = write!(out, "\"p50_us\": {}, ", json_num(row.p50_us));
-        let _ = write!(out, "\"p99_us\": {}, ", json_num(row.p99_us));
-        let _ = write!(out, "\"rexmits\": {}, ", row.rexmits);
-        let _ = write!(out, "\"rto_fires\": {}, ", row.rto_fires);
-        let _ = write!(out, "\"queue_drops\": {}, ", row.queue_drops);
-        let _ = write!(out, "\"epd_drops\": {}, ", row.epd_drops);
-        let _ = write!(out, "\"ppd_drops\": {}, ", row.ppd_drops);
-        let _ = write!(out, "\"aborted_conns\": {}, ", row.aborted_conns);
-        let _ = write!(out, "\"mbufs_leaked\": {} }}", c.mbufs_leaked);
+        for (c, r) in cells.iter().zip(results) {
+            let row = CcRow::new(c, r);
+            let t = &c.cell.topo;
+            let _ = writeln!(
+                out,
+                "{:<8} {:<5} {:>5} {:>7} {:>8.2} {:>9.1} {:>9.1} {:>10.1} {:>7} {:>4} {:>6} {:>6} {:>6}",
+                t.stack.cc.name(),
+                t.switch.drop_policy.name(),
+                t.switch.queue_cells,
+                r.rtts.len(),
+                row.goodput_mbps,
+                row.p50_us,
+                row.p99_us,
+                row.max_us,
+                r.rexmits,
+                r.rto_fires,
+                r.switch_drops,
+                r.epd_drops,
+                r.ppd_drops
+            );
+        }
+        out
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_grid_has_unique_keys_and_expected_axes() {
-        let g = dc_quick_grid();
+    /// The cells of `study`'s grid that `keep` selects.
+    fn pick(study: &dyn Study, quick: bool, keep: impl Fn(&StudyCell) -> bool) -> Vec<StudyCell> {
+        study.grid(quick).into_iter().filter(keep).collect()
+    }
+
+    fn assert_unique_keys(g: &[StudyCell]) {
         for (i, a) in g.iter().enumerate() {
             for b in &g[i + 1..] {
-                assert_ne!(a.key, b.key);
+                assert_ne!(a.cell.key, b.cell.key);
             }
         }
+    }
+
+    #[test]
+    fn studies_are_found_by_subcommand_name() {
+        let names: Vec<_> = STUDIES.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["dc", "tails", "hedge", "cc"]);
+        for name in names {
+            assert_eq!(study(name).map(Study::name), Some(name));
+        }
+        assert!(study("tabel1").is_none());
+        assert_eq!(DcStudy.report_name(true), "dc_quick");
+        assert_eq!(DcStudy.report_name(false), "dc");
+    }
+
+    #[test]
+    fn quick_grid_has_unique_keys_and_expected_axes() {
+        let g = DcStudy.grid(true);
+        assert_unique_keys(&g);
         // 2 client counts x 2 conn counts x 3 strategies x 2 fan-ins,
         // minus nothing (fan-in 4 clamps to 2 only when clients = 2,
         // which aliases with... it clamps to 2, distinct from 1).
         assert_eq!(g.len(), 24);
-        assert!(g.iter().all(|c| c.topo.iterations == 2));
+        assert!(g.iter().all(|c| c.cell.topo.iterations == 2));
     }
 
     #[test]
     fn full_grid_covers_the_acceptance_axes() {
-        let g = dc_grid();
+        let g = DcStudy.grid(false);
         assert_eq!(g.len(), 36);
-        assert!(g.iter().any(|c| c.topo.clients == 256));
-        assert!(g.iter().any(|c| c.topo.conns_per_host == 64));
-        assert!(g.iter().any(|c| c.key.contains("/hash/")));
-        assert!(g.iter().any(|c| c.key.contains("/cache/")));
-        assert!(g.iter().any(|c| c.key.contains("/mtf/")));
+        assert!(g.iter().any(|c| c.cell.topo.clients == 256));
+        assert!(g.iter().any(|c| c.cell.topo.conns_per_host == 64));
+        assert!(g.iter().any(|c| c.cell.key.contains("/hash/")));
+        assert!(g.iter().any(|c| c.cell.key.contains("/cache/")));
+        assert!(g.iter().any(|c| c.cell.key.contains("/mtf/")));
     }
 
     #[test]
     fn seeds_derive_from_keys_not_positions() {
-        let g = dc_quick_grid();
+        let g = DcStudy.grid(true);
         let r = run_dc_cells(&g[..2], 1);
-        assert_eq!(r[0].seed, sweep::cell_seed(&g[0].key));
-        assert_eq!(r[1].seed, sweep::cell_seed(&g[1].key));
+        assert_eq!(r[0].seed, sweep::cell_seed(&g[0].cell.key));
+        assert_eq!(r[1].seed, sweep::cell_seed(&g[1].cell.key));
     }
 
     #[test]
     fn report_is_byte_identical_across_jobs() {
         // A tiny two-cell grid keeps this test fast; the full quick
         // grid is exercised by the repro binary's CI determinism diff.
-        let cells: Vec<DcCell> = dc_quick_grid().into_iter().take(2).collect();
+        let cells: Vec<DcCell> = DcStudy
+            .grid(true)
+            .into_iter()
+            .take(2)
+            .map(|c| c.cell)
+            .collect();
         let a = canonical_json("dc_tiny", &run_dc_cells(&cells, 1));
         let b = canonical_json("dc_tiny", &run_dc_cells(&cells, 4));
         assert_eq!(a, b);
         assert!(a.starts_with("{\n  \"name\": \"dc_tiny\","));
+        // The study writer and the plain one agree for `dc`.
+        let study: Vec<StudyCell> = cells.into_iter().map(StudyCell::plain).collect();
+        assert_eq!(
+            a,
+            DcStudy.report_json("dc_tiny", &study, &run_dc_cells(&study, 2))
+        );
+    }
+
+    #[test]
+    fn empty_report_keeps_the_schema() {
+        assert_eq!(
+            canonical_json("none", &[]),
+            "{\n  \"name\": \"none\",\n  \"cells\": {}\n}\n"
+        );
     }
 
     #[test]
@@ -1145,21 +1176,21 @@ mod tests {
 
     #[test]
     fn tails_quick_grid_covers_all_axes() {
-        let g = tails_quick_grid();
+        let g = TailsStudy.grid(true);
         // 4 scenarios x 3 widths x churn {off, on}.
         assert_eq!(g.len(), 24);
-        for (i, a) in g.iter().enumerate() {
-            for b in &g[i + 1..] {
-                assert_ne!(a.cell.key, b.cell.key);
-            }
-        }
+        assert_unique_keys(&g);
         assert!(g.iter().any(|c| c.scenario == "mbuf-exhaustion"));
-        assert!(g.iter().any(|c| c.width == 16 && c.churn));
+        assert!(g
+            .iter()
+            .any(|c| c.cell.topo.fanout_width == 16 && c.cell.topo.churn.is_some()));
         // Clean cells carry no fault schedule; faulty cells scope the
         // schedule to servers so client NICs stay pristine.
         for c in &g {
-            assert_eq!(c.cell.topo.fanout_width, c.width);
-            assert_eq!(c.cell.topo.churn.is_some(), c.churn);
+            let churn = c.cell.topo.churn.is_some();
+            assert_eq!(c.cell.key.contains("/churn/"), churn, "{}", c.cell.key);
+            let width = format!("/f{}/", c.cell.topo.fanout_width);
+            assert!(c.cell.key.contains(&width), "{}", c.cell.key);
             if c.scenario == "clean" {
                 assert!(c.cell.topo.faults.is_none());
             } else {
@@ -1167,11 +1198,11 @@ mod tests {
                 assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
             }
         }
-        let full = tails_grid();
+        let full = TailsStudy.grid(false);
         // 32 warm-stack cells + 8 `+reno` re-runs (4 scenarios x
         // widths {1, 16}).
         assert_eq!(full.len(), 40);
-        assert!(full.iter().any(|c| c.width == 64));
+        assert!(full.iter().any(|c| c.cell.topo.fanout_width == 64));
         let reno: Vec<_> = full
             .iter()
             .filter(|c| c.scenario.ends_with("+reno"))
@@ -1184,7 +1215,7 @@ mod tests {
             assert_eq!(c.cell.topo.stack.initial_cwnd_segs, Some(2));
             assert_eq!(c.cell.topo.mtu, 1500);
             assert_eq!(c.cell.topo.rpc_size, 16_000);
-            assert!(c.width == 1 || c.width == 16);
+            assert!(c.cell.topo.fanout_width == 1 || c.cell.topo.fanout_width == 16);
         }
         // Warm-stack cells stay warm: the re-runs must not leak cc
         // arming into the headline family (goldens depend on it).
@@ -1196,16 +1227,11 @@ mod tests {
 
     #[test]
     fn hedge_quick_grid_covers_all_axes() {
-        let g = hedge_quick_grid();
+        let g = HedgeStudy.grid(true);
         // 4 scenarios x 5 mitigations.
         assert_eq!(g.len(), 20);
-        for (i, a) in g.iter().enumerate() {
-            for b in &g[i + 1..] {
-                assert_ne!(a.cell.key, b.cell.key);
-            }
-        }
+        assert_unique_keys(&g);
         for c in &g {
-            assert_eq!(c.width, 16);
             assert_eq!(c.cell.topo.fanout_width, 16);
             match c.mitigation {
                 Mitigation::None => assert!(c.cell.topo.tail.is_none()),
@@ -1224,7 +1250,7 @@ mod tests {
         }
         assert!(g.iter().any(|c| c.scenario == "host-pause"));
         assert!(g.iter().any(|c| c.scenario == "link-flap"));
-        let full = hedge_grid();
+        let full = HedgeStudy.grid(false);
         // 20 warm-stack cells + 8 `+reno` re-runs (4 scenarios x
         // {none, retry}).
         assert_eq!(full.len(), 28);
@@ -1260,16 +1286,12 @@ mod tests {
     fn hedge_report_is_byte_identical_across_jobs() {
         // One clean pair (baseline + hedge) keeps this fast; the full
         // quick grid runs in the CI determinism diff.
-        let cells: Vec<HedgeCell> = hedge_quick_grid()
-            .into_iter()
-            .filter(|c| {
-                c.scenario == "clean"
-                    && matches!(c.mitigation, Mitigation::None | Mitigation::Hedge)
-            })
-            .collect();
+        let cells = pick(&HedgeStudy, true, |c| {
+            c.scenario == "clean" && matches!(c.mitigation, Mitigation::None | Mitigation::Hedge)
+        });
         assert_eq!(cells.len(), 2);
-        let a = hedge_canonical_json("hedge_tiny", &cells, &run_hedge_cells(&cells, 1));
-        let b = hedge_canonical_json("hedge_tiny", &cells, &run_hedge_cells(&cells, 4));
+        let a = HedgeStudy.report_json("hedge_tiny", &cells, &run_dc_cells(&cells, 1));
+        let b = HedgeStudy.report_json("hedge_tiny", &cells, &run_dc_cells(&cells, 4));
         assert_eq!(a, b);
         // The no-mitigation cell is its own baseline.
         assert!(a.contains("\"amp_p99\": 1.0"), "{a}");
@@ -1280,55 +1302,60 @@ mod tests {
 
     #[test]
     fn cc_quick_grid_covers_all_axes() {
-        let g = cc_quick_grid();
+        let g = CcStudy.grid(true);
         // 4 variants x 3 policies x 2 buffer sizes.
         assert_eq!(g.len(), 24);
-        for (i, a) in g.iter().enumerate() {
-            for b in &g[i + 1..] {
-                assert_ne!(a.cell.key, b.cell.key);
-            }
-        }
+        assert_unique_keys(&g);
         for c in &g {
             // Cold start and SAR-aware marking on every cell: the
             // study is meaningless without either.
-            assert_eq!(c.cell.topo.stack.initial_cwnd_segs, Some(2));
-            assert_eq!(c.cell.topo.stack.cc, c.variant);
-            assert_eq!(c.cell.topo.switch.drop_policy, c.policy);
-            assert_eq!(c.cell.topo.switch.queue_cells, c.queue_cells);
-            assert_eq!(c.cell.topo.switch.marking, TrainMarking::Aal34SegType);
+            let t = &c.cell.topo;
+            assert_eq!(t.stack.initial_cwnd_segs, Some(2));
+            assert_eq!(t.switch.marking, TrainMarking::Aal34SegType);
             assert_eq!(c.cell.reps, 1);
+            // The key names the axes the topology carries.
+            let axes = format!(
+                "cc/{}/{}/q{}/",
+                t.stack.cc.name(),
+                t.switch.drop_policy.name(),
+                t.switch.queue_cells
+            );
+            assert!(c.cell.key.starts_with(&axes), "{}", c.cell.key);
         }
-        assert!(g.iter().any(|c| c.variant == CcVariant::Sack
-            && c.policy == DropPolicy::Ppd
-            && c.queue_cells == 128));
+        let sw = |c: &StudyCell| {
+            (
+                c.cell.topo.switch.drop_policy,
+                c.cell.topo.switch.queue_cells,
+            )
+        };
+        assert!(g
+            .iter()
+            .any(|c| c.cell.topo.stack.cc == CcVariant::Sack && sw(c) == (DropPolicy::Ppd, 128)));
         // EPD thresholds sit at half the queue.
-        assert!(g.iter().any(|c| c.policy
-            == DropPolicy::Epd {
-                threshold_cells: 64
-            }
-            && c.queue_cells == 128));
-        let full = cc_grid();
+        let epd64 = DropPolicy::Epd {
+            threshold_cells: 64,
+        };
+        assert!(g.iter().any(|c| sw(c) == (epd64, 128)));
+        let full = CcStudy.grid(false);
         // Full widens along the buffer axis; same rounds per cell.
         assert_eq!(full.len(), 48);
         assert!(full.iter().all(|c| c.cell.topo.iterations == 3));
-        assert!(full.iter().any(|c| c.queue_cells == 1024));
+        assert!(full.iter().any(|c| c.cell.topo.switch.queue_cells == 1024));
     }
 
     #[test]
     fn cc_report_is_byte_identical_across_jobs() {
         // One variant pair on the small buffer keeps this fast; the
         // full quick grid runs in the CI determinism diff.
-        let cells: Vec<CcCell> = cc_quick_grid()
-            .into_iter()
-            .filter(|c| {
-                c.queue_cells == 128
-                    && c.variant == CcVariant::NewReno
-                    && c.policy != DropPolicy::Ppd
-            })
-            .collect();
+        let cells = pick(&CcStudy, true, |c| {
+            let t = &c.cell.topo;
+            t.switch.queue_cells == 128
+                && t.stack.cc == CcVariant::NewReno
+                && t.switch.drop_policy != DropPolicy::Ppd
+        });
         assert_eq!(cells.len(), 2);
-        let a = cc_canonical_json("cc_tiny", &cells, &run_cc_cells(&cells, 1));
-        let b = cc_canonical_json("cc_tiny", &cells, &run_cc_cells(&cells, 4));
+        let a = CcStudy.report_json("cc_tiny", &cells, &run_dc_cells(&cells, 1));
+        let b = CcStudy.report_json("cc_tiny", &cells, &run_dc_cells(&cells, 4));
         assert_eq!(a, b);
         assert!(a.contains("\"goodput_mbps\": "));
         assert!(a.contains("\"mbufs_leaked\": 0"), "{a}");
@@ -1338,13 +1365,12 @@ mod tests {
     fn tails_report_is_byte_identical_across_jobs() {
         // Two clean cells (widths 1 and 4) exercise the amplification
         // join; the full quick grid runs in the CI determinism diff.
-        let cells: Vec<TailsCell> = tails_quick_grid()
-            .into_iter()
-            .filter(|c| c.scenario == "clean" && !c.churn && c.width <= 4)
-            .collect();
+        let cells = pick(&TailsStudy, true, |c| {
+            c.scenario == "clean" && c.cell.topo.churn.is_none() && c.cell.topo.fanout_width <= 4
+        });
         assert_eq!(cells.len(), 2);
-        let a = tails_canonical_json("tails_tiny", &cells, &run_tails_cells(&cells, 1));
-        let b = tails_canonical_json("tails_tiny", &cells, &run_tails_cells(&cells, 4));
+        let a = TailsStudy.report_json("tails_tiny", &cells, &run_dc_cells(&cells, 1));
+        let b = TailsStudy.report_json("tails_tiny", &cells, &run_dc_cells(&cells, 4));
         assert_eq!(a, b);
         // The width-1 cell is its own baseline: amp_p99 is exactly 1.
         assert!(a.contains("\"amp_p99\": 1.0"), "{a}");

@@ -5,10 +5,7 @@
 
 use simkit::SimTime;
 use world::dc::run_dc_world;
-use world::{
-    run_tails_cells, tails_canonical_json, tails_quick_grid, ChurnTraffic, Topology,
-    TrafficSchedule,
-};
+use world::{run_dc_cells, ChurnTraffic, Study, TailsStudy, Topology, TrafficSchedule};
 
 /// Sweep fan-out widths x seeds x churn on/off and check, round by
 /// round, that every recorded completion equals the max of that
@@ -58,10 +55,11 @@ fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
 /// into the report.
 #[test]
 fn tails_quick_report_is_byte_identical_across_jobs() {
-    let cells = tails_quick_grid();
-    let one = tails_canonical_json("tails_quick", &cells, &run_tails_cells(&cells, 1));
+    let cells = TailsStudy.grid(true);
+    let report = |jobs| TailsStudy.report_json("tails_quick", &cells, &run_dc_cells(&cells, jobs));
+    let one = report(1);
     for jobs in [2usize, 4] {
-        let many = tails_canonical_json("tails_quick", &cells, &run_tails_cells(&cells, jobs));
+        let many = report(jobs);
         assert_eq!(one, many, "jobs {jobs} changed the report bytes");
     }
 }
@@ -72,20 +70,16 @@ fn tails_quick_report_is_byte_identical_across_jobs() {
 #[test]
 fn tails_quick_sketch_report_is_byte_identical_across_jobs() {
     use latency_core::ObsMode;
-    use world::run_tails_cells_with;
+    use world::run_dc_cells_with;
 
-    let cells = tails_quick_grid();
-    let one = tails_canonical_json(
-        "tails_quick",
-        &cells,
-        &run_tails_cells_with(&cells, 1, ObsMode::Sketch),
-    );
+    let cells = TailsStudy.grid(true);
+    let report = |jobs| {
+        let results = run_dc_cells_with(&cells, jobs, ObsMode::Sketch);
+        TailsStudy.report_json("tails_quick", &cells, &results)
+    };
+    let one = report(1);
     for jobs in [2usize, 4] {
-        let many = tails_canonical_json(
-            "tails_quick",
-            &cells,
-            &run_tails_cells_with(&cells, jobs, ObsMode::Sketch),
-        );
+        let many = report(jobs);
         assert_eq!(
             one, many,
             "sketch mode: jobs {jobs} changed the report bytes"

@@ -179,7 +179,9 @@ proptest! {
 /// same canonical bytes at every worker count.
 #[test]
 fn pause_and_flap_hedge_cells_are_byte_identical_across_worker_counts() {
-    let cells: Vec<_> = world::hedge_quick_grid()
+    use world::Study as _;
+    let cells: Vec<_> = world::HedgeStudy
+        .grid(true)
         .into_iter()
         .filter(|c| c.scenario == "host-pause" || c.scenario == "link-flap")
         .collect();
@@ -187,16 +189,12 @@ fn pause_and_flap_hedge_cells_are_byte_identical_across_worker_counts() {
         !cells.is_empty(),
         "quick grid covers the injector scenarios"
     );
-    let serial = world::hedge_canonical_json(
-        "fault-prop-hedge",
-        &cells,
-        &world::run_hedge_cells(&cells, 1),
-    );
-    let parallel = world::hedge_canonical_json(
-        "fault-prop-hedge",
-        &cells,
-        &world::run_hedge_cells(&cells, 4),
-    );
+    let report = |jobs| {
+        let results = world::run_dc_cells(&cells, jobs);
+        world::HedgeStudy.report_json("fault-prop-hedge", &cells, &results)
+    };
+    let serial = report(1);
+    let parallel = report(4);
     assert_eq!(serial, parallel);
 }
 

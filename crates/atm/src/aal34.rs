@@ -103,6 +103,12 @@ impl Aal34Segmenter {
         }
     }
 
+    /// The VCI this segmenter's cells carry.
+    #[must_use]
+    pub fn vci(&self) -> u16 {
+        self.vci
+    }
+
     /// Number of cells a datagram of `len` bytes occupies.
     #[must_use]
     pub fn cells_for(len: usize) -> usize {

@@ -24,6 +24,7 @@ use simkit::{SimRng, SimTime};
 
 use crate::aal5::PT_END_OF_PDU;
 use crate::cell::{Cell, CellHeader};
+use crate::link::LinkFault;
 
 /// Route entry: where a VC leaves the switch and as what.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,6 +315,41 @@ impl AtmSwitch {
         }
         self.trains.insert(key, train);
         self.admit(route, arrival, cell)
+    }
+
+    /// Carries one cell of a train through the switch: the per-cell
+    /// step of both the inline two-host switch and the shared
+    /// datacenter fabric. A lost cell stays lost. A forwarded cell
+    /// reaches the far end at its departure plus `downlink`. A cell
+    /// the switch refuses (unknown VC, full queue, drop policy)
+    /// becomes `Lost` at its input time `at`. The result is labelled
+    /// corrupted only when the fabric actually changed the payload.
+    pub fn pass(
+        &mut self,
+        in_port: usize,
+        at: SimTime,
+        fault: LinkFault,
+        downlink: SimTime,
+    ) -> (SimTime, LinkFault) {
+        let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = fault else {
+            return (at, LinkFault::Lost);
+        };
+        let may_corrupt = self.config.corrupt_prob > 0.0;
+        match self.forward(in_port, at, &c) {
+            SwitchOutcome::Forwarded {
+                departure, cell, ..
+            } => {
+                let fault = if may_corrupt && cell.payload() != c.payload() {
+                    LinkFault::Corrupted(cell)
+                } else {
+                    LinkFault::Clean(cell)
+                };
+                (departure + downlink, fault)
+            }
+            SwitchOutcome::UnknownVc | SwitchOutcome::QueueFull | SwitchOutcome::Discarded => {
+                (at, LinkFault::Lost)
+            }
+        }
     }
 
     /// Tail-drops a cell at a full output queue.
@@ -671,6 +707,57 @@ mod tests {
         assert!(later
             .iter()
             .all(|o| matches!(o, SwitchOutcome::Forwarded { .. })));
+    }
+
+    #[test]
+    fn pass_is_the_one_per_cell_step() {
+        let down = SimTime::from_us(3);
+        let t = SimTime::from_us(1);
+        // Lost stays lost, untouched, at its input time.
+        let mut sw = tiny_switch(DropPolicy::Tail, 1);
+        assert_eq!(sw.pass(0, t, LinkFault::Lost, down), (t, LinkFault::Lost));
+        assert_eq!(sw.forwarded, 0, "a lost cell never reaches the fabric");
+        // Forwarded: departure plus the downlink; a clean fabric
+        // relabels a link-corrupted cell clean (its payload did not
+        // change in the switch).
+        let (at, fault) = sw.pass(0, t, LinkFault::Corrupted(cell(42)), down);
+        let departure = t + SwitchConfig::default().latency + SwitchConfig::default().cell_time;
+        assert_eq!(at, departure + down);
+        assert_eq!(fault, LinkFault::Clean(cell(42)));
+        // Queue full: lost at the input time, not at a departure.
+        let (at, fault) = sw.pass(0, t, LinkFault::Clean(cell(42)), down);
+        assert_eq!((at, fault), (t, LinkFault::Lost));
+        assert_eq!(sw.queue_drops, 1);
+        // Unknown VC: lost at the input time too.
+        assert_eq!(
+            sw.pass(0, t, LinkFault::Clean(cell(99)), down),
+            (t, LinkFault::Lost)
+        );
+        // A corrupting fabric: relabelled only because the payload
+        // changed.
+        let mut sw = AtmSwitch::new(
+            2,
+            SwitchConfig {
+                corrupt_prob: 1.0,
+                ..SwitchConfig::default()
+            },
+            3,
+        );
+        sw.add_vc(
+            0,
+            0,
+            42,
+            VcRoute {
+                out_port: 1,
+                out_vpi: 0,
+                out_vci: 42,
+            },
+        );
+        let (_, fault) = sw.pass(0, t, LinkFault::Clean(cell(42)), down);
+        let LinkFault::Corrupted(c) = fault else {
+            panic!("fabric corruption must be labelled: {fault:?}")
+        };
+        assert_ne!(c.payload(), cell(42).payload());
     }
 
     #[test]

@@ -132,7 +132,8 @@ impl<'a> crate::experiment::RunPlan<'a> {
     ///
     /// A capture is one repetition: the plan's (first-repetition) seed
     /// is used and [`reps`](crate::experiment::RunPlan::reps) does not
-    /// apply. Armed observers carry over.
+    /// apply. Observers and the observability mode are set on the
+    /// `RunPlan` before this call and carry over.
     #[must_use]
     pub fn captured(self) -> CapturePlan<'a> {
         CapturePlan {
@@ -146,7 +147,8 @@ impl<'a> crate::experiment::RunPlan<'a> {
 }
 
 /// A [`crate::experiment::RunPlan`] with every capture tap armed
-/// (built by [`RunPlan::captured`](crate::experiment::RunPlan::captured)).
+/// (built by [`RunPlan::captured`](crate::experiment::RunPlan::captured)):
+/// only the flight-recorder switch remains to set.
 pub struct CapturePlan<'a> {
     exp: &'a Experiment,
     seed: u64,
@@ -173,29 +175,6 @@ impl CapturePlan<'_> {
         assert!(last_k >= 1, "a flight window needs at least one frame");
         self.flight = Some(last_k);
         self
-    }
-
-    /// Sets the observability mode for the result's RTT samples (see
-    /// [`RunPlan::observe`](crate::experiment::RunPlan::observe)).
-    #[must_use]
-    pub fn observe(mut self, mode: crate::obs::ObsMode) -> Self {
-        self.obs = mode;
-        self
-    }
-
-    /// Arms a read-only per-event observer (see
-    /// [`RunPlan::observer`](crate::experiment::RunPlan::observer)).
-    #[must_use]
-    pub fn observer(mut self, obs: simkit::ObserverFn<crate::world::World>) -> Self {
-        self.observers.push(obs);
-        self
-    }
-
-    /// Arms an invariant-checking observer (see
-    /// [`RunPlan::invariants`](crate::experiment::RunPlan::invariants)).
-    #[must_use]
-    pub fn invariants(self, obs: simkit::ObserverFn<crate::world::World>) -> Self {
-        self.observer(obs)
     }
 
     /// Executes the captured repetition.

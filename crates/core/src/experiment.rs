@@ -144,23 +144,23 @@ impl Experiment {
                     cell_loss: self.cell_loss,
                     ..LinkConfig::default()
                 };
-                let mut n0 = AtmNic::new(
+                let mut n0 = AtmNic::pair(
                     FiberLink::new(lc, seed * 2 + 1),
                     self.costs.clone(),
-                    42,
+                    0,
                     seed,
                 );
-                let mut n1 = AtmNic::new(
+                let mut n1 = AtmNic::pair(
                     FiberLink::new(lc, seed * 2 + 2),
                     self.costs.clone(),
-                    42,
+                    1,
                     seed + 9,
                 );
                 n0.controller_corrupt_prob = self.controller_corrupt;
                 n1.controller_corrupt_prob = self.controller_corrupt;
                 if let Some(swc) = self.switch {
-                    n0.insert_switch(swc, 42, seed * 3 + 1);
-                    n1.insert_switch(swc, 42, seed * 3 + 2);
+                    n0.insert_switch(swc, seed * 3 + 1);
+                    n1.insert_switch(swc, seed * 3 + 2);
                 }
                 if let Some(f) = &self.faults {
                     // Per-direction seeds match the link seeds; the
@@ -235,10 +235,7 @@ impl Experiment {
         let mut world = self.build_world(seed);
         world.capture = capture;
         world.flight_k = flight;
-        let sim = match obs {
-            Some(obs) => crate::world::run_world_observed(world, obs),
-            None => run_world(world),
-        };
+        let sim = run_world(world, obs);
         let events = sim.events_executed();
         let sim_time = sim.now();
         let w = sim.world;
@@ -363,15 +360,6 @@ impl RunPlan<'_> {
     pub fn observer(mut self, obs: simkit::ObserverFn<World>) -> Self {
         self.observers.push(obs);
         self
-    }
-
-    /// Arms an invariant-checking observer. Behaviourally identical to
-    /// [`RunPlan::observer`]; the separate name keeps call sites honest
-    /// about *why* an observer is armed (this crate cannot depend on
-    /// the oracle, so its runtime checkers arrive as plain observers).
-    #[must_use]
-    pub fn invariants(self, obs: simkit::ObserverFn<World>) -> Self {
-        self.observer(obs)
     }
 
     /// Executes the plan: `reps` repetitions starting at `seed`, RTT

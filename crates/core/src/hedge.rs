@@ -129,6 +129,18 @@ pub struct MitigationCost {
     pub cancelled: u64,
 }
 
+impl std::ops::AddAssign for MitigationCost {
+    fn add_assign(&mut self, o: MitigationCost) {
+        self.hedges_issued += o.hedges_issued;
+        self.hedges_won += o.hedges_won;
+        self.hedges_wasted += o.hedges_wasted;
+        self.retries_issued += o.retries_issued;
+        self.budget_exhausted += o.budget_exhausted;
+        self.deadline_exceeded += o.deadline_exceeded;
+        self.cancelled += o.cancelled;
+    }
+}
+
 /// One row of the hedge table: a scenario × mitigation cell at fixed
 /// fan-out.
 #[derive(Clone, Debug)]

@@ -5,8 +5,12 @@
 //! The transmit side implements [`tcpip::TxDriver`]: it charges
 //! driver CPU time, models the cut-through FIFO (ATM) or the
 //! descriptor ring (Ethernet), applies the link fault processes, and
-//! stages *deliveries* — per-datagram cell trains with arrival times
-//! — that the world loop turns into events.
+//! stages *deliveries* — per-datagram cell trains with arrival times,
+//! each naming its destination host — that the world loop turns into
+//! events. One [`AtmNic`] serves both worlds: it segments per
+//! destination (the two-host pair installs one peer, a datacenter
+//! host one per server or client it talks to), and [`Nic`] is itself
+//! the [`TxDriver`] the kernel calls.
 //!
 //! The receive side is a plain function called from the arrival event
 //! handler: it charges the hardware-interrupt costs, runs real
@@ -14,10 +18,9 @@
 //! the mbuf chain (with stored partial checksums in the integrated
 //! configuration), and hands the datagram to the kernel's IP queue.
 
-use atm::{
-    Aal34Reassembler, Aal34Segmenter, AtmSwitch, FiberLink, ForeTca100, LinkFault, SwitchOutcome,
-    VcRoute,
-};
+use std::collections::HashMap;
+
+use atm::{Aal34Reassembler, Aal34Segmenter, AtmSwitch, FiberLink, ForeTca100, LinkFault, VcRoute};
 use decstation::CostModel;
 use ether::{EtherAddr, EtherFrame, EtherWire, LanceAdapter, ETHERTYPE_IP};
 use mbuf::chain::ultrix_uses_clusters;
@@ -31,10 +34,21 @@ pub const ATM_MTU: usize = 9188;
 /// The Ethernet MTU.
 pub const ETHER_MTU: usize = 1500;
 
+/// The two-host address plan: host `h` (0 = client, 1 = server) is
+/// `PAIR_ADDRS[h]`.
+pub const PAIR_ADDRS: [[u8; 4]; 2] = [[10, 0, 0, 1], [10, 0, 0, 2]];
+
+/// The two-host pair's one VC in each direction.
+pub const PAIR_VCI: u16 = 42;
+
 /// A staged delivery: one datagram's worth of link traffic headed to
-/// the peer.
+/// one host.
 pub struct Delivery {
-    /// Arrival time of the last cell/frame at the peer's adapter.
+    /// Destination host index.
+    pub dst: usize,
+    /// Arrival time of the last cell/frame at the destination's
+    /// adapter (for a train still to cross a shared switch: at the
+    /// switch input).
     pub arrival: SimTime,
     /// The payload as it survived the link.
     pub payload: DeliveryPayload,
@@ -48,12 +62,22 @@ pub enum DeliveryPayload {
     Frame(Vec<u8>),
 }
 
+/// One destination of an ATM interface: its host index and the AAL3/4
+/// segmentation state of the VC that reaches it.
+struct Peer {
+    dst: usize,
+    seg: Aal34Segmenter,
+}
+
 /// The ATM interface of one host.
 pub struct AtmNic {
     /// The FORE TCA-100 adapter.
     pub adapter: ForeTca100,
-    /// AAL3/4 segmentation state.
-    pub seg: Aal34Segmenter,
+    /// AAL3/4 segmentation state per destination IP address.
+    peers: HashMap<[u8; 4], Peer>,
+    /// The MTU advertised to the stack (MSS derives from it):
+    /// [`ATM_MTU`] unless the topology sets another.
+    pub mtu: usize,
     /// AAL3/4 reassembly state.
     pub reasm: Aal34Reassembler,
     /// The outbound fiber.
@@ -70,8 +94,10 @@ pub struct AtmNic {
     /// the §4.2.1 "second error source" (bit flips between controller
     /// and host memory, past all link CRCs).
     pub controller_corrupt_prob: f64,
-    /// An ATM switch on this direction's path (the paper's testbed
-    /// was switchless; §4.2.1 reasons about switched paths).
+    /// An ATM switch inline on this direction's path (the paper's
+    /// testbed was switchless; §4.2.1 reasons about switched paths).
+    /// A datacenter host leaves it `None`: its shared switch lives in
+    /// the world.
     pub switch: Option<AtmSwitch>,
     /// Datagram-level capture taps (`NicDmaTx`, `Wire`, `NicDmaRx`).
     /// Zero-cost unless armed; cell-level capture lives on the link.
@@ -89,13 +115,15 @@ pub struct AtmNic {
 }
 
 impl AtmNic {
-    /// Builds an ATM interface over the given outbound link.
+    /// Builds an ATM interface over the given outbound link, with no
+    /// destination installed yet (see [`AtmNic::add_peer`]).
     #[must_use]
-    pub fn new(link: FiberLink, costs: CostModel, vci: u16, seed: u64) -> Self {
+    pub fn new(link: FiberLink, costs: CostModel, seed: u64) -> Self {
         let cell_time = link.config.cell_time();
         AtmNic {
             adapter: ForeTca100::new(cell_time),
-            seg: Aal34Segmenter::new(0, vci, 1),
+            peers: HashMap::new(),
+            mtu: ATM_MTU,
             reasm: Aal34Reassembler::new(),
             link,
             costs,
@@ -110,6 +138,25 @@ impl AtmNic {
             enobufs_drops: 0,
             rng: simkit::SimRng::seed_stream(seed, 0xc0),
         }
+    }
+
+    /// Host `h`'s end of the two-host pair: its one destination is
+    /// host `1 - h` at [`PAIR_ADDRS`], on [`PAIR_VCI`] with MID 1.
+    #[must_use]
+    pub fn pair(link: FiberLink, costs: CostModel, h: usize, seed: u64) -> Self {
+        let mut nic = AtmNic::new(link, costs, seed);
+        nic.add_peer(PAIR_ADDRS[1 - h], 1 - h, PAIR_VCI, 1);
+        nic
+    }
+
+    /// Installs the segmentation state for the destination host `dst`
+    /// at IP address `addr`: cells go out on `vci` carrying `mid`.
+    /// Installing a destination twice keeps the first state.
+    pub fn add_peer(&mut self, addr: [u8; 4], dst: usize, vci: u16, mid: u16) {
+        self.peers.entry(addr).or_insert_with(|| Peer {
+            dst,
+            seg: Aal34Segmenter::new(0, vci, mid),
+        });
     }
 
     /// Arms the ATM-relevant parts of a fault schedule on this
@@ -134,27 +181,26 @@ impl AtmNic {
         }
     }
 
-    /// Routes this direction through an ATM switch: the VC used by
-    /// the segmenter is installed port 0 → port 1 unchanged.
-    pub fn insert_switch(&mut self, config: atm::SwitchConfig, vci: u16, seed: u64) {
+    /// Routes this direction through an inline ATM switch: every
+    /// installed destination's VC goes port 0 → port 1 unchanged.
+    pub fn insert_switch(&mut self, config: atm::SwitchConfig, seed: u64) {
         let mut sw = AtmSwitch::new(2, config, seed);
-        sw.add_vc(
-            0,
-            0,
-            vci,
-            VcRoute {
+        for peer in self.peers.values() {
+            let vci = peer.seg.vci();
+            let route = VcRoute {
                 out_port: 1,
                 out_vpi: 0,
                 out_vci: vci,
-            },
-        );
+            };
+            sw.add_vc(0, 0, vci, route);
+        }
         self.switch = Some(sw);
     }
 }
 
 impl TxDriver for AtmNic {
     fn mtu(&self) -> usize {
-        ATM_MTU
+        self.mtu
     }
 
     /// §2.2: the TxDriver span runs "up to when the ATM adapter is
@@ -162,9 +208,17 @@ impl TxDriver for AtmNic {
     /// overlaps network transmission. With the cut-through FIFO the
     /// signal *is* the completion of the last programmed-I/O cell
     /// copy, which the FIFO may backpressure to wire speed.
+    ///
+    /// The datagram is segmented on the VC of its IP destination.
+    /// Cells cross the fiber and, when one is inline, the switch;
+    /// the staged train then carries arrival times at the far end (or
+    /// at the world's shared switch input).
     fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
         let bytes = packet.to_vec();
-        let cells = self.seg.segment(&bytes);
+        let addr = [bytes[16], bytes[17], bytes[18], bytes[19]];
+        let peer = self.peers.get_mut(&addr).expect("destination installed");
+        let dst = peer.dst;
+        let cells = peer.seg.segment(&bytes);
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
         let mut train = Vec::with_capacity(cells.len());
@@ -172,32 +226,10 @@ impl TxDriver for AtmNic {
         for cell in cells {
             let admit = self.adapter.tx.admit(cursor, per_cell);
             cursor = admit.copy_end;
-            let (mut arrival, fault) = self.link.carry_at(admit.wire_exit, cell);
-            // An intermediate switch adds fabric latency, output-queue
-            // serialization, VC rewriting, and possibly fabric
-            // corruption or drops.
-            let fault = match (&mut self.switch, fault) {
-                (None, f) => f,
-                (Some(_), LinkFault::Lost) => LinkFault::Lost,
-                (Some(sw), LinkFault::Clean(c) | LinkFault::Corrupted(c)) => {
-                    let was_corrupt = sw.config.corrupt_prob > 0.0;
-                    match sw.forward(0, arrival, &c) {
-                        SwitchOutcome::Forwarded {
-                            departure, cell, ..
-                        } => {
-                            arrival = departure + self.link.config.propagation;
-                            if was_corrupt && cell.payload() != c.payload() {
-                                LinkFault::Corrupted(cell)
-                            } else {
-                                LinkFault::Clean(cell)
-                            }
-                        }
-                        SwitchOutcome::UnknownVc
-                        | SwitchOutcome::QueueFull
-                        | SwitchOutcome::Discarded => LinkFault::Lost,
-                    }
-                }
-            };
+            let (mut arrival, mut fault) = self.link.carry_at(admit.wire_exit, cell);
+            if let Some(sw) = self.switch.as_mut() {
+                (arrival, fault) = sw.pass(0, arrival, fault, self.link.config.propagation);
+            }
             last_arrival = last_arrival.max(arrival);
             train.push((arrival, fault));
         }
@@ -217,6 +249,7 @@ impl TxDriver for AtmNic {
             self.taps.record(simcap::TapPoint::NicDmaTx, cursor, bytes);
         }
         self.staged.push(Delivery {
+            dst,
             arrival: last_arrival,
             payload: DeliveryPayload::Cells(train),
         });
@@ -364,6 +397,8 @@ pub struct EtherNic {
     pub addr: EtherAddr,
     /// Destination MAC (two-host segment).
     pub peer: EtherAddr,
+    /// Destination host index (the other end of the segment).
+    peer_host: u8,
     /// Driver cost constants.
     pub costs: CostModel,
     /// Staged deliveries.
@@ -397,6 +432,7 @@ impl EtherNic {
             wire,
             addr: EtherAddr::from_host_id(host_id),
             peer: EtherAddr::from_host_id(host_id ^ 1),
+            peer_host: host_id ^ 1,
             costs,
             staged: Vec::new(),
             fcs_drops: 0,
@@ -461,6 +497,7 @@ impl TxDriver for EtherNic {
         spans.mark(Mark::TxSignalled, cursor);
         if let Some(bytes) = delivered {
             self.staged.push(Delivery {
+                dst: usize::from(self.peer_host),
                 arrival: delivered_at,
                 payload: DeliveryPayload::Frame(bytes),
             });
@@ -543,16 +580,25 @@ pub enum Nic {
     Ether(EtherNic),
 }
 
-impl Nic {
-    /// Interface MTU.
-    #[must_use]
-    pub fn mtu(&self) -> usize {
+/// The kernel takes `&mut dyn TxDriver`, so the world hands it the
+/// enum directly; this one match replaces one at every call site.
+impl TxDriver for Nic {
+    fn mtu(&self) -> usize {
         match self {
-            Nic::Atm(_) => ATM_MTU,
-            Nic::Ether(_) => ETHER_MTU,
+            Nic::Atm(n) => n.mtu(),
+            Nic::Ether(n) => n.mtu(),
         }
     }
 
+    fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
+        match self {
+            Nic::Atm(n) => n.transmit(now, packet, spans),
+            Nic::Ether(n) => n.transmit(now, packet, spans),
+        }
+    }
+}
+
+impl Nic {
     /// Drains the staged deliveries.
     pub fn take_staged(&mut self) -> Vec<Delivery> {
         match self {
@@ -586,11 +632,6 @@ impl Nic {
         }
     }
 
-    /// [`Nic::arm_taps_mode`] in full-capture mode.
-    pub fn arm_taps(&mut self) {
-        self.arm_taps_mode(None);
-    }
-
     /// Drains every frame captured by this NIC and its medium, merged
     /// in timestamp order (stable within equal timestamps).
     pub fn take_taps(&mut self) -> Vec<simcap::CapturedFrame> {
@@ -617,20 +658,95 @@ mod tests {
     }
 
     fn atm_nic(seed: u64) -> AtmNic {
-        AtmNic::new(
+        AtmNic::pair(
             FiberLink::new(LinkConfig::default(), seed),
             CostModel::calibrated(),
-            42,
+            0,
             seed,
         )
+    }
+
+    /// A TCP/IP datagram from `src` to `dst` carrying `len` data bytes.
+    fn datagram(k: &Kernel, src: [u8; 4], dst: [u8; 4], len: usize) -> Chain {
+        let hdr = tcpip::hdr::TcpIpHeader {
+            ip_len: u16::try_from(40 + len).unwrap(),
+            ip_id: 1,
+            ttl: 30,
+            src,
+            dst,
+            sport: 1024,
+            dport: 4242,
+            seq: 1,
+            ack: 1,
+            flags: tcpip::hdr::flags::ACK,
+            win: 4096,
+            tcp_cksum: 0,
+        };
+        let mut bytes = hdr.encode().to_vec();
+        bytes.extend((0..len).map(|i| (i % 253) as u8));
+        Chain::from_user_data(&k.pool, &bytes, ultrix_uses_clusters(bytes.len())).0
+    }
+
+    /// A client-to-server datagram of the two-host pair.
+    fn pair_datagram(k: &Kernel, len: usize) -> Chain {
+        datagram(k, PAIR_ADDRS[0], PAIR_ADDRS[1], len)
+    }
+
+    /// Segmentation follows the IP destination under both address
+    /// plans: the two-host pair (`10.0.0.x`, VCI 42, MID 1) and a
+    /// datacenter host with several installed destinations.
+    #[test]
+    fn transmit_routes_by_ip_destination() {
+        // Each case: the NIC, a datagram's source and destination,
+        // and the host, VCI and MID its cells must carry.
+        let pair = AtmNic::pair(
+            FiberLink::new(LinkConfig::default(), 7),
+            CostModel::calibrated(),
+            0,
+            7,
+        );
+        let mut topo = AtmNic::new(
+            FiberLink::new(LinkConfig::default(), 7),
+            CostModel::calibrated(),
+            7,
+        );
+        // Host 2 of the datacenter plan: host h is 10.1.(h>>8).(h&255),
+        // reached on VCI 64 + h; the MID is the sender's index.
+        for dst in [0usize, 3, 5] {
+            topo.add_peer([10, 1, 0, dst as u8], dst, 64 + dst as u16, 2);
+        }
+        let cases = [
+            (pair, PAIR_ADDRS[0], PAIR_ADDRS[1], 1usize, PAIR_VCI, 1u16),
+            (topo, [10, 1, 0, 2], [10, 1, 0, 3], 3, 67, 2),
+        ];
+        for (mut nic, src, dst, host, vci, mid) in cases {
+            let mut k = kernel();
+            let done = nic.transmit(SimTime::ZERO, &datagram(&k, src, dst, 100), &mut k.spans);
+            assert!(done > SimTime::ZERO);
+            assert_eq!(nic.staged.len(), 1);
+            assert_eq!(nic.staged[0].dst, host);
+            let DeliveryPayload::Cells(train) = &nic.staged[0].payload else {
+                panic!("cells expected")
+            };
+            // 140 CPCS bytes -> 4 cells, all on the destination VC.
+            assert_eq!(train.len(), 4);
+            for (_, fault) in train {
+                let LinkFault::Clean(c) = fault else {
+                    panic!("clean link")
+                };
+                assert_eq!(c.header().vci, vci);
+                // SAR header: MID is the low 10 bits of bytes 0..2.
+                let sar = u16::from_be_bytes([c.payload()[0], c.payload()[1]]);
+                assert_eq!(sar & 0x3ff, mid);
+            }
+        }
     }
 
     #[test]
     fn atm_transmit_stages_one_delivery_per_datagram() {
         let mut k = kernel();
         let mut nic = atm_nic(1);
-        let (chain, _) = Chain::from_user_data(&k.pool, &vec![7u8; 540], false);
-        let done = nic.transmit(SimTime::ZERO, &chain, &mut k.spans);
+        let done = nic.transmit(SimTime::ZERO, &pair_datagram(&k, 500), &mut k.spans);
         assert!(done > SimTime::ZERO);
         assert_eq!(nic.staged.len(), 1);
         let d = &nic.staged[0];
@@ -646,9 +762,7 @@ mod tests {
     fn atm_large_packet_is_wire_limited() {
         let mut k = kernel();
         let mut nic = atm_nic(2);
-        let (chain, _) = Chain::from_user_data(&k.pool, &vec![7u8; 8040], true);
-        let t0 = SimTime::ZERO;
-        let done = nic.transmit(t0, &chain, &mut k.spans);
+        let done = nic.transmit(SimTime::ZERO, &pair_datagram(&k, 8000), &mut k.spans);
         // 8048 CPCS bytes -> 183 cells; the 36-cell FIFO forces the
         // host to pace at wire speed for the tail: > 147 cell times.
         let cell_time = LinkConfig::default().cell_time();
@@ -663,9 +777,7 @@ mod tests {
         let mut na = atm_nic(3);
         let mut nb = atm_nic(4);
         // Use na to send, nb to receive.
-        let payload: Vec<u8> = (0..777).map(|i| (i % 253) as u8).collect();
-        let (chain, _) = Chain::from_user_data(&ka.pool, &payload, false);
-        let _ = na.transmit(SimTime::ZERO, &chain, &mut ka.spans);
+        let _ = na.transmit(SimTime::ZERO, &pair_datagram(&ka, 737), &mut ka.spans);
         let d = na.staged.pop().unwrap();
         let DeliveryPayload::Cells(train) = d.payload else {
             panic!("cells expected")

@@ -20,10 +20,53 @@
 
 use simkit::{Scheduler, Sim, SimTime, TimerId};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig};
+use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver};
 
 use crate::app::{App, AppState, Role};
-use crate::nic::{atm_receive, ether_receive, Delivery, DeliveryPayload, Nic};
+use crate::nic::{atm_receive, ether_receive, Delivery, DeliveryPayload, Nic, PAIR_ADDRS};
+
+/// The client's port (host 0).
+const CLIENT_PORT: u16 = 1055;
+/// The server's port (host 1).
+const SERVER_PORT: u16 = 4242;
+
+/// One host's TCP-timer slot: a permanent engine timer plus the
+/// deadline it is armed for. Both worlds keep one per host, so
+/// re-arming allocates nothing and never schedules a duplicate.
+#[derive(Default)]
+pub struct TcpTimer {
+    /// The engine timer slot, registered when the simulation is built.
+    id: Option<TimerId>,
+    /// Earliest deadline the slot is armed for.
+    at: Option<SimTime>,
+}
+
+impl TcpTimer {
+    /// Binds the slot to its engine timer, registered when the
+    /// simulation is built.
+    pub fn bind(&mut self, id: TimerId) {
+        self.id = Some(id);
+    }
+
+    /// Re-arms the slot after any kernel interaction: when the
+    /// kernel's earliest deadline precedes the armed one, or the
+    /// armed one has already passed.
+    pub fn rearm<W>(&mut self, kernel: &Kernel, s: &mut Scheduler<W>) {
+        let Some(dl) = kernel.next_deadline() else {
+            return;
+        };
+        if self.at.is_none_or(|t| dl < t || t <= s.now()) {
+            self.at = Some(dl);
+            let id = self.id.expect("timer slot registered");
+            s.arm_timer(id, dl.max(s.now()));
+        }
+    }
+
+    /// Marks the armed deadline consumed (call when the timer fires).
+    pub fn fired(&mut self) {
+        self.at = None;
+    }
+}
 
 /// One simulated host.
 pub struct Host {
@@ -35,11 +78,8 @@ pub struct Host {
     pub app: App,
     /// The process's socket.
     pub sock: SockId,
-    /// Earliest scheduled TCP timer event, to avoid duplicates.
-    timer_at: Option<SimTime>,
-    /// Permanent engine timer slot for this host's TCP timer,
-    /// registered by [`run_world`] so re-arming allocates nothing.
-    timer: Option<TimerId>,
+    /// This host's TCP-timer slot.
+    timer: TcpTimer,
 }
 
 /// The simulation world: exactly two hosts, index 0 (client) and 1
@@ -75,89 +115,59 @@ impl World {
         nics: [Nic; 2],
         apps: [App; 2],
     ) -> World {
-        let mtu = nics[0].mtu();
-        let mss = tcp_mss(mtu, cfg.mss_one_cluster);
+        let mss = tcp_mss(nics[0].mtu(), cfg.mss_one_cluster);
         let mut kernels = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
-        // UDP workloads bind datagram sockets instead of a connection.
-        if apps[0].role == Role::UdpRpcClient {
-            let sock_c = kernels[0].udp_bind([10, 0, 0, 1], 1055, true);
-            let sock_s = kernels[1].udp_bind([10, 0, 0, 2], 4242, true);
-            let [kc, ks] = kernels;
-            let [nic_c, nic_s] = nics;
-            let [app_c, app_s] = apps;
-            return World {
-                hosts: vec![
-                    Host {
-                        kernel: kc,
-                        nic: nic_c,
-                        app: app_c,
-                        sock: sock_c,
-                        timer_at: None,
-                        timer: None,
-                    },
-                    Host {
-                        kernel: ks,
-                        nic: nic_s,
-                        app: app_s,
-                        sock: sock_s,
-                        timer_at: None,
-                        timer: None,
-                    },
-                ],
-                measuring: false,
-                capture: false,
-                flight_k: None,
+        let [addr_c, addr_s] = PAIR_ADDRS;
+        let socks = if apps[0].role == Role::UdpRpcClient {
+            // UDP workloads bind datagram sockets instead of a
+            // connection.
+            [
+                kernels[0].udp_bind(addr_c, CLIENT_PORT, true),
+                kernels[1].udp_bind(addr_s, SERVER_PORT, true),
+            ]
+        } else {
+            let key_c = PcbKey {
+                laddr: addr_c,
+                lport: CLIENT_PORT,
+                faddr: addr_s,
+                fport: SERVER_PORT,
             };
-        }
-        let key_c = PcbKey {
-            laddr: [10, 0, 0, 1],
-            lport: 1055,
-            faddr: [10, 0, 0, 2],
-            fport: 4242,
-        };
-        let key_s = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 4242,
-            faddr: [10, 0, 0, 1],
-            fport: 1055,
-        };
-        let sock_c = kernels[0].create_connection(key_c, mss);
-        let sock_s = kernels[1].create_connection(key_s, mss);
-        // Align administrative sequence numbers: each side's rcv_nxt
-        // must equal the peer's snd_nxt.
-        let (c_snd, c_rcv) = {
-            let t = kernels[0].tcb(sock_c);
-            (t.snd_nxt, t.rcv_nxt)
-        };
-        {
+            let key_s = PcbKey {
+                laddr: addr_s,
+                lport: SERVER_PORT,
+                faddr: addr_c,
+                fport: CLIENT_PORT,
+            };
+            let sock_c = kernels[0].create_connection(key_c, mss);
+            let sock_s = kernels[1].create_connection(key_s, mss);
+            // Align administrative sequence numbers: each side's
+            // rcv_nxt must equal the peer's snd_nxt.
+            let (c_snd, c_rcv) = {
+                let t = kernels[0].tcb(sock_c);
+                (t.snd_nxt, t.rcv_nxt)
+            };
             let mut t = kernels[1].tcb_mut(sock_s);
             t.rcv_nxt = c_snd;
             t.snd_una = c_rcv;
             t.snd_nxt = c_rcv;
             t.snd_max = c_rcv;
-        }
-        let [kc, ks] = kernels;
-        let [nic_c, nic_s] = nics;
-        let [app_c, app_s] = apps;
+            [sock_c, sock_s]
+        };
+        let hosts = kernels
+            .into_iter()
+            .zip(nics)
+            .zip(apps)
+            .zip(socks)
+            .map(|(((kernel, nic), app), sock)| Host {
+                kernel,
+                nic,
+                app,
+                sock,
+                timer: TcpTimer::default(),
+            })
+            .collect();
         World {
-            hosts: vec![
-                Host {
-                    kernel: kc,
-                    nic: nic_c,
-                    app: app_c,
-                    sock: sock_c,
-                    timer_at: None,
-                    timer: None,
-                },
-                Host {
-                    kernel: ks,
-                    nic: nic_s,
-                    app: app_s,
-                    sock: sock_s,
-                    timer_at: None,
-                    timer: None,
-                },
-            ],
+            hosts,
             measuring: false,
             capture: false,
             flight_k: None,
@@ -173,64 +183,32 @@ impl World {
 
 /// Runs a world to completion; returns the simulation for inspection.
 ///
-/// # Panics
-///
-/// Panics if the event queue drains while a process is still waiting
-/// — a protocol deadlock, which the tests treat as a bug.
-pub fn run_world(world: World) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.run();
-    assert!(
-        sim.world.finished(),
-        "deadlock: event queue empty, apps not finished \
-         (client {:?} iter {}, server {:?} iter {})",
-        sim.world.hosts[0].app.state,
-        sim.world.hosts[0].app.done_count,
-        sim.world.hosts[1].app.state,
-        sim.world.hosts[1].app.done_count,
-    );
-    sim
-}
-
-/// [`run_world`] without the completion assertion (debug tooling).
-#[must_use]
-pub fn run_world_no_assert(world: World) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.run();
-    sim
-}
-
-/// Builds the simulation over a world: registers each host's
-/// permanent TCP-timer slot and schedules the two app-start events.
+/// With `obs` set, `obs(world, event_time, event_label)` fires after
+/// every executed event. Observation is read-only, so results are
+/// identical to an unobserved run of the same world — this is how
+/// the oracle's runtime invariant checkers watch a simulation without
+/// perturbing it.
 ///
 /// Both start events and all hot-path follow-ups ("softintr",
 /// "app-wakeup", "abort-wakeup", "tcp-timer") are raw events — a
 /// function pointer plus the host index — so the steady-state event
 /// loop performs no per-event allocation.
-fn prepare_sim(world: World) -> Sim<World> {
-    let mut sim = Sim::new(world);
-    for h in 0..sim.world.hosts.len() {
-        let id = sim.register_timer("tcp-timer", on_timer_raw, h as u64);
-        sim.world.hosts[h].timer = Some(id);
-    }
-    sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step_raw, 0);
-    sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step_raw, 1);
-    sim
-}
-
-/// [`run_world`] with an engine observer installed for the whole run:
-/// `obs(world, event_time, event_label)` fires after every executed
-/// event. Observation is read-only, so results are identical to
-/// [`run_world`] for the same world — this is how the oracle's
-/// runtime invariant checkers watch a simulation without perturbing
-/// it.
 ///
 /// # Panics
 ///
-/// Panics on deadlock, exactly like [`run_world`].
-pub fn run_world_observed(world: World, obs: simkit::ObserverFn<World>) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.set_observer(obs);
+/// Panics if the event queue drains while a process is still waiting
+/// — a protocol deadlock, which the tests treat as a bug.
+pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<World> {
+    let mut sim = Sim::new(world);
+    for h in 0..sim.world.hosts.len() {
+        let id = sim.register_timer("tcp-timer", on_timer_raw, h as u64);
+        sim.world.hosts[h].timer.bind(id);
+    }
+    sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step_raw, 0);
+    sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step_raw, 1);
+    if let Some(obs) = obs {
+        sim.set_observer(obs);
+    }
     sim.run();
     assert!(
         sim.world.finished(),
@@ -247,35 +225,27 @@ pub fn run_world_observed(world: World, obs: simkit::ObserverFn<World>) -> Sim<W
 /// Schedules staged deliveries and (re)arms the TCP timer after any
 /// kernel interaction on host `h`.
 fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
-    let peer = 1 - h;
-    for Delivery { arrival, payload } in w.hosts[h].nic.take_staged() {
+    for Delivery {
+        dst,
+        arrival,
+        payload,
+    } in w.hosts[h].nic.take_staged()
+    {
         match payload {
             DeliveryPayload::Cells(train) => {
                 s.schedule_at(arrival.max(s.now()), "atm-arrival", move |w, s| {
-                    on_atm_arrival(w, s, peer, train);
+                    on_atm_arrival(w, s, dst, train);
                 });
             }
             DeliveryPayload::Frame(bytes) => {
                 s.schedule_at(arrival.max(s.now()), "eth-arrival", move |w, s| {
-                    on_eth_arrival(w, s, peer, bytes);
+                    on_eth_arrival(w, s, dst, bytes);
                 });
             }
         }
     }
-    if let Some(dl) = w.hosts[h].kernel.next_deadline() {
-        let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
-        if stale {
-            w.hosts[h].timer_at = Some(dl);
-            let at = dl.max(s.now());
-            match w.hosts[h].timer {
-                // The permanent slot re-arms with zero allocation.
-                Some(id) => s.arm_timer(id, at),
-                // Worlds run outside `run_world` (no slot registered)
-                // still work via a boxed event.
-                None => s.schedule_at(at, "tcp-timer", move |w, s| on_timer(w, s, h)),
-            }
-        }
-    }
+    let host = &mut w.hosts[h];
+    host.timer.rearm(&host.kernel, s);
 }
 
 /// Raw-event trampolines: the engine hot path stores these as plain
@@ -323,10 +293,7 @@ fn on_eth_arrival(w: &mut World, s: &mut Scheduler<World>, h: usize, bytes: Vec<
 /// The software interrupt: IP/TCP input, wakeups, responses.
 fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     let host = &mut w.hosts[h];
-    let out = match &mut host.nic {
-        Nic::Atm(nic) => host.kernel.ipintr(s.now(), nic),
-        Nic::Ether(nic) => host.kernel.ipintr(s.now(), nic),
-    };
+    let out = host.kernel.ipintr(s.now(), &mut host.nic);
     flush_host(w, s, h);
     for (_, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
         let at = (*run_at).max(s.now());
@@ -336,12 +303,9 @@ fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: usize) {
 
 /// A TCP timer event.
 fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: usize) {
-    w.hosts[h].timer_at = None;
     let host = &mut w.hosts[h];
-    let _ = match &mut host.nic {
-        Nic::Atm(nic) => host.kernel.check_timers(s.now(), nic),
-        Nic::Ether(nic) => host.kernel.check_timers(s.now(), nic),
-    };
+    host.timer.fired();
+    let _ = host.kernel.check_timers(s.now(), &mut host.nic);
     flush_host(w, s, h);
     // A timer may have aborted a connection (retransmit limit) and
     // woken the blocked process so it can observe the error: without
@@ -427,19 +391,11 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     let Host {
                         kernel, nic, sock, ..
                     } = host;
-                    let peer: [u8; 4] = if h == 0 { [10, 0, 0, 2] } else { [10, 0, 0, 1] };
-                    let pport = if h == 0 { 4242 } else { 1055 };
-                    match (udp, nic) {
-                        (false, Nic::Atm(n)) => {
-                            kernel.syscall_write(now, *sock, &data[offset..], n)
-                        }
-                        (false, Nic::Ether(n)) => {
-                            kernel.syscall_write(now, *sock, &data[offset..], n)
-                        }
-                        (true, Nic::Atm(n)) => kernel.udp_sendto(now, *sock, peer, pport, &data, n),
-                        (true, Nic::Ether(n)) => {
-                            kernel.udp_sendto(now, *sock, peer, pport, &data, n)
-                        }
+                    if udp {
+                        let pport = if h == 0 { SERVER_PORT } else { CLIENT_PORT };
+                        kernel.udp_sendto(now, *sock, PAIR_ADDRS[1 - h], pport, &data, nic)
+                    } else {
+                        kernel.syscall_write(now, *sock, &data[offset..], nic)
                     }
                 };
                 flush_host(w, s, h);
@@ -488,10 +444,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     if udp {
                         kernel.udp_recvfrom(now, *sock)
                     } else {
-                        match nic {
-                            Nic::Atm(n) => kernel.syscall_read(now, *sock, want, n),
-                            Nic::Ether(n) => kernel.syscall_read(now, *sock, want, n),
-                        }
+                        kernel.syscall_read(now, *sock, want, nic)
                     }
                 };
                 flush_host(w, s, h);
@@ -513,7 +466,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 }
                 // A full message arrived.
                 match host.app.role {
-                    Role::UdpRpcClient => {
+                    Role::RpcClient | Role::UdpRpcClient => {
                         host.kernel.spans.mark(Mark::ReadReturn, now);
                         let expect = App::pattern(host.app.size, host.app.done_count);
                         if host.app.got != expect {
@@ -527,28 +480,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                         host.app.done_count += 1;
                         host.app.state = AppState::WantWrite;
                     }
-                    Role::UdpRpcServer => {
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::RpcClient => {
-                        host.kernel.spans.mark(Mark::ReadReturn, now);
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
-                        if host.app.measuring() {
-                            let rtt = now.quantized().saturating_since(host.app.t_start);
-                            host.app.stats.rtts.push(rtt);
-                            host.app.stats.iterations += 1;
-                        }
-                        host.app.done_count += 1;
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::RpcServer => {
+                    Role::RpcServer | Role::UdpRpcServer => {
                         let expect = App::pattern(host.app.size, host.app.done_count);
                         if host.app.got != expect {
                             host.app.stats.verify_failures += 1;

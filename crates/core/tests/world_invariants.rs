@@ -36,20 +36,23 @@ fn run(size: usize) -> simkit::Sim<latency_core::world::World> {
         App::new(Role::RpcServer, size, u64::MAX / 4, 0),
     ];
     let nics = [
-        Nic::Atm(AtmNic::new(
+        Nic::Atm(AtmNic::pair(
             atm::FiberLink::new(atm::LinkConfig::default(), 1),
             costs.clone(),
-            42,
+            0,
             1,
         )),
-        Nic::Atm(AtmNic::new(
+        Nic::Atm(AtmNic::pair(
             atm::FiberLink::new(atm::LinkConfig::default(), 2),
             costs.clone(),
-            42,
+            1,
             2,
         )),
     ];
-    run_world(latency_core::world::World::new(e.cfg, costs, nics, apps))
+    run_world(
+        latency_core::world::World::new(e.cfg, costs, nics, apps),
+        None,
+    )
 }
 
 /// CPU-kind spans on one host never overlap: one processor, one

@@ -3,7 +3,7 @@
 //! Pluggable checkers that any experiment can arm. Mirroring
 //! `faultkit::FaultSchedule::is_clean`, the default set is empty and
 //! costs nothing: per-event checkers hook into the engine only
-//! through a [`latency_core::RunPlan::invariants`] observer, which an
+//! through a [`latency_core::RunPlan::observer`], which an
 //! unobserved plan never touches, and with an empty set
 //! [`check_experiment`] runs no simulation at all.
 
@@ -135,6 +135,74 @@ fn check_tcb(tcb: &Tcb, snd_buffered: usize, sockbuf: usize, host: usize) -> Opt
     None
 }
 
+/// The per-event checker both entry points arm: `event_monotonic`
+/// and `tcp_seq_sanity` of `armed`, run read-only after every engine
+/// event. Returns the state the observer fills alongside the
+/// observer itself.
+fn event_checker(armed: InvariantSet) -> (Rc<RefCell<ObsState>>, simkit::ObserverFn<World>) {
+    let state = Rc::new(RefCell::new(ObsState {
+        last: SimTime::ZERO,
+        events: 0,
+        violations: Vec::new(),
+    }));
+    let st = Rc::clone(&state);
+    let obs = Box::new(move |w: &World, t: SimTime, label: &'static str| {
+        let mut s = st.borrow_mut();
+        s.events += 1;
+        if armed.event_monotonic && t < s.last {
+            let last = s.last;
+            push(
+                &mut s.violations,
+                "event_monotonic",
+                format!("event '{label}' at {t} after clock reached {last}"),
+            );
+        }
+        s.last = s.last.max(t);
+        if armed.tcp_seq_sanity {
+            for (h, host) in w.hosts.iter().enumerate() {
+                if let Some(tcb) = host.kernel.try_tcb(host.sock) {
+                    let buffered = host.kernel.snd_buffered(host.sock);
+                    let sockbuf = host.kernel.cfg.sockbuf;
+                    if let Some(detail) = check_tcb(tcb, buffered, sockbuf, h) {
+                        push(
+                            &mut s.violations,
+                            "tcp_seq_sanity",
+                            format!("after '{label}' at {t}: {detail}"),
+                        );
+                    }
+                }
+            }
+        }
+    });
+    (state, obs)
+}
+
+/// Folds the checker state into `report` once the plan that armed
+/// the observer has returned (and dropped it).
+fn collect(state: Rc<RefCell<ObsState>>, report: &mut InvariantReport) {
+    let state = Rc::try_unwrap(state)
+        .unwrap_or_else(|_| panic!("observer still alive after run"))
+        .into_inner();
+    report.events_checked = state.events;
+    report.violations.extend(state.violations);
+}
+
+/// The `clock_quantized` checker over a run's measured RTTs.
+fn check_clock(rtts: &[SimTime], report: &mut InvariantReport) {
+    for (i, rtt) in rtts.iter().enumerate() {
+        if rtt.as_ns() % CLOCK_PERIOD_NS != 0 {
+            push(
+                &mut report.violations,
+                "clock_quantized",
+                format!(
+                    "rtt[{i}] = {} ns is off the {CLOCK_PERIOD_NS} ns grid",
+                    rtt.as_ns()
+                ),
+            );
+        }
+    }
+}
+
 /// Runs `exp` with the given checkers armed and reports every
 /// violation.
 ///
@@ -153,47 +221,9 @@ pub fn check_experiment(exp: &Experiment, seed: u64, set: &InvariantSet) -> Inva
     let mut result: Option<RunResult> = None;
 
     if per_event {
-        let state = Rc::new(RefCell::new(ObsState {
-            last: SimTime::ZERO,
-            events: 0,
-            violations: Vec::new(),
-        }));
-        let st = Rc::clone(&state);
-        let armed = *set;
-        let obs = Box::new(move |w: &World, t: SimTime, label: &'static str| {
-            let mut s = st.borrow_mut();
-            s.events += 1;
-            if armed.event_monotonic && t < s.last {
-                let last = s.last;
-                push(
-                    &mut s.violations,
-                    "event_monotonic",
-                    format!("event '{label}' at {t} after clock reached {last}"),
-                );
-            }
-            s.last = s.last.max(t);
-            if armed.tcp_seq_sanity {
-                for (h, host) in w.hosts.iter().enumerate() {
-                    if let Some(tcb) = host.kernel.try_tcb(host.sock) {
-                        let buffered = host.kernel.snd_buffered(host.sock);
-                        let sockbuf = host.kernel.cfg.sockbuf;
-                        if let Some(detail) = check_tcb(tcb, buffered, sockbuf, h) {
-                            push(
-                                &mut s.violations,
-                                "tcp_seq_sanity",
-                                format!("after '{label}' at {t}: {detail}"),
-                            );
-                        }
-                    }
-                }
-            }
-        });
-        result = Some(exp.plan().seed(seed).invariants(obs).execute());
-        let state = Rc::try_unwrap(state)
-            .unwrap_or_else(|_| panic!("observer still alive after run"))
-            .into_inner();
-        report.events_checked = state.events;
-        report.violations.extend(state.violations);
+        let (state, obs) = event_checker(*set);
+        result = Some(exp.plan().seed(seed).observer(obs).execute());
+        collect(state, &mut report);
     }
 
     if set.capture_agreement {
@@ -224,18 +254,7 @@ pub fn check_experiment(exp: &Experiment, seed: u64, set: &InvariantSet) -> Inva
     let result = result.unwrap_or_else(|| exp.plan().seed(seed).execute());
 
     if set.clock_quantized {
-        for (i, rtt) in result.rtts.iter().enumerate() {
-            if rtt.as_ns() % CLOCK_PERIOD_NS != 0 {
-                push(
-                    &mut report.violations,
-                    "clock_quantized",
-                    format!(
-                        "rtt[{i}] = {} ns is off the {CLOCK_PERIOD_NS} ns grid",
-                        rtt.as_ns()
-                    ),
-                );
-            }
-        }
+        check_clock(&result.rtts, &mut report);
     }
 
     if set.mbuf_conservation && result.mbufs_leaked != (0, 0) {
@@ -273,67 +292,17 @@ pub fn check_experiment_flight(
     last_k: usize,
 ) -> (InvariantReport, Vec<simcap::TriggerSnapshot>) {
     let mut report = InvariantReport::default();
-    let state = Rc::new(RefCell::new(ObsState {
-        last: SimTime::ZERO,
-        events: 0,
-        violations: Vec::new(),
-    }));
-    let st = Rc::clone(&state);
-    let armed = *set;
-    let obs = Box::new(move |w: &World, t: SimTime, label: &'static str| {
-        let mut s = st.borrow_mut();
-        s.events += 1;
-        if armed.event_monotonic && t < s.last {
-            let last = s.last;
-            push(
-                &mut s.violations,
-                "event_monotonic",
-                format!("event '{label}' at {t} after clock reached {last}"),
-            );
-        }
-        s.last = s.last.max(t);
-        if armed.tcp_seq_sanity {
-            for (h, host) in w.hosts.iter().enumerate() {
-                if let Some(tcb) = host.kernel.try_tcb(host.sock) {
-                    let buffered = host.kernel.snd_buffered(host.sock);
-                    let sockbuf = host.kernel.cfg.sockbuf;
-                    if let Some(detail) = check_tcb(tcb, buffered, sockbuf, h) {
-                        push(
-                            &mut s.violations,
-                            "tcp_seq_sanity",
-                            format!("after '{label}' at {t}: {detail}"),
-                        );
-                    }
-                }
-            }
-        }
-    });
+    let (state, obs) = event_checker(*set);
     let cap = exp
         .plan()
         .seed(seed)
+        .observer(obs)
         .captured()
         .flight(last_k)
-        .invariants(obs)
         .execute();
-    let state = Rc::try_unwrap(state)
-        .unwrap_or_else(|_| panic!("observer still alive after run"))
-        .into_inner();
-    report.events_checked = state.events;
-    report.violations.extend(state.violations);
-
+    collect(state, &mut report);
     if set.clock_quantized {
-        for (i, rtt) in cap.result.rtts.iter().enumerate() {
-            if rtt.as_ns() % CLOCK_PERIOD_NS != 0 {
-                push(
-                    &mut report.violations,
-                    "clock_quantized",
-                    format!(
-                        "rtt[{i}] = {} ns is off the {CLOCK_PERIOD_NS} ns grid",
-                        rtt.as_ns()
-                    ),
-                );
-            }
-        }
+        check_clock(&cap.result.rtts, &mut report);
     }
 
     let mut snapshots: Vec<simcap::TriggerSnapshot> = Vec::new();

@@ -122,7 +122,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CapError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CapError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];

@@ -134,13 +134,22 @@ fn rd_u32(b: &[u8], at: usize, be: bool) -> Result<u32, CapError> {
 }
 
 /// Converts a timestamp in `10^-resol` second units to nanoseconds.
+/// A resolution whose scale factor or result leaves `u64` is an error,
+/// never a wrapped time.
 fn to_ns(ts: u64, resol: u8) -> Result<u64, CapError> {
     if resol & 0x80 != 0 {
         return Err(CapError::Format("power-of-two if_tsresol unsupported"));
     }
+    let scale = |d: i32| {
+        10u64
+            .checked_pow(d.unsigned_abs())
+            .ok_or(CapError::Format("if_tsresol out of range"))
+    };
     match 9i32 - i32::from(resol) {
-        d if d >= 0 => Ok(ts * 10u64.pow(u32::try_from(d).unwrap())),
-        d => Ok(ts / 10u64.pow(u32::try_from(-d).unwrap())),
+        d if d >= 0 => ts
+            .checked_mul(scale(d)?)
+            .ok_or(CapError::Format("timestamp overflows u64 nanoseconds")),
+        d => Ok(ts / scale(d)?),
     }
 }
 
@@ -156,7 +165,7 @@ pub fn read_pcapng(data: &[u8]) -> Result<Capture, CapError> {
     let mut tsresol: u8 = 6; // pcapng default is microseconds
     let mut records = Vec::new();
     let mut saw_shb = false;
-    while pos + 12 <= data.len() {
+    while pos < data.len() {
         // Block type is endian-sensitive except for SHB, whose value
         // is a palindrome-by-design; detect SHB first.
         let raw_type = rd_u32(data, pos, false)?;
@@ -174,8 +183,11 @@ pub fn read_pcapng(data: &[u8]) -> Result<Capture, CapError> {
         }
         let block_type = rd_u32(data, pos, be)?;
         let total = rd_u32(data, pos + 4, be)? as usize;
-        if total < 12 || !total.is_multiple_of(4) || pos + total > data.len() {
+        if total < 12 || !total.is_multiple_of(4) || total > data.len() - pos {
             return Err(CapError::Truncated);
+        }
+        if rd_u32(data, pos + total - 4, be)? as usize != total {
+            return Err(CapError::Format("block total lengths disagree"));
         }
         let body = &data[pos + 8..pos + total - 4];
         match block_type {
@@ -190,7 +202,7 @@ pub fn read_pcapng(data: &[u8]) -> Result<Capture, CapError> {
                         break;
                     }
                     if code == 9 && olen >= 1 {
-                        tsresol = body[o + 4];
+                        tsresol = *body.get(o + 4).ok_or(CapError::Truncated)?;
                     }
                     o += 4 + olen + pad4(olen);
                 }
@@ -199,7 +211,9 @@ pub fn read_pcapng(data: &[u8]) -> Result<Capture, CapError> {
                 let hi = u64::from(rd_u32(body, 4, be)?);
                 let lo = u64::from(rd_u32(body, 8, be)?);
                 let cap_len = rd_u32(body, 12, be)? as usize;
-                let bytes = body.get(20..20 + cap_len).ok_or(CapError::Truncated)?;
+                let bytes = body
+                    .get(20..cap_len.saturating_add(20))
+                    .ok_or(CapError::Truncated)?;
                 records.push((to_ns((hi << 32) | lo, tsresol)?, bytes.to_vec()));
             }
             _ => {} // SHB / unknown blocks: skip

@@ -134,11 +134,6 @@ pub struct StackConfig {
     /// Initial send sequence number (exposed so tests can start near
     /// the wrap point).
     pub iss: u32,
-    /// Delayed-ACK timeout (BSD fasttimo, 200 ms).
-    pub delack_us: u64,
-    /// Retransmission timeout floor (BSD slowtimo granularity gives
-    /// an effective 500 ms minimum initially).
-    pub rto_min_us: u64,
     /// Retransmission limit: when the backoff shift has reached this
     /// value and the retransmit timer fires again, the connection is
     /// aborted with `ETIMEDOUT` (BSD `TCP_MAXRXTSHIFT`). Guarantees
@@ -155,6 +150,13 @@ pub struct StackConfig {
     pub initial_cwnd_segs: Option<u32>,
 }
 
+/// Delayed-ACK timeout in µs (BSD fasttimo, 200 ms).
+pub const DELACK_US: u64 = 200_000;
+
+/// Retransmission timeout floor in µs (BSD slowtimo granularity gives
+/// an effective 500 ms minimum initially).
+pub const RTO_MIN_US: u64 = 500_000;
+
 impl Default for StackConfig {
     fn default() -> Self {
         StackConfig {
@@ -167,8 +169,6 @@ impl Default for StackConfig {
             mss_one_cluster: true,
             sockbuf: 16 * 1024,
             iss: 0x0001_0000,
-            delack_us: 200_000,
-            rto_min_us: 500_000,
             max_rexmt_shift: 12,
             cc: CcVariant::NewReno,
             initial_cwnd_segs: None,

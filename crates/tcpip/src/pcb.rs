@@ -69,6 +69,18 @@ pub struct PcbCounters {
     pub hash_probes: u64,
 }
 
+impl std::ops::AddAssign for PcbCounters {
+    fn add_assign(&mut self, o: PcbCounters) {
+        self.lookups += o.lookups;
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.cache_hits += o.cache_hits;
+        self.cache_misses += o.cache_misses;
+        self.traversed += o.traversed;
+        self.hash_probes += o.hash_probes;
+    }
+}
+
 /// One PCB lookup organization: the paper's move-to-front list,
 /// last-PCB single-entry cache over the BSD list, or hash table.
 ///

@@ -25,7 +25,7 @@
 use mbuf::Chain;
 use simkit::SimTime;
 
-use crate::config::{CcVariant, StackConfig};
+use crate::config::{CcVariant, StackConfig, RTO_MIN_US};
 use crate::hdr::{flags, TcpIpHeader};
 use crate::pcb::PcbKey;
 use crate::seq::{seq_diff, seq_gt, seq_le, seq_lt};
@@ -554,8 +554,8 @@ impl Tcb {
     /// also the steady state — clean-run timing is unchanged by the
     /// estimator.
     #[must_use]
-    pub fn rto(&self, cfg: &StackConfig) -> SimTime {
-        let floor = cfg.rto_min_us as f64;
+    pub fn rto(&self) -> SimTime {
+        let floor = RTO_MIN_US as f64;
         let base_us = if self.rtt_samples > 0 {
             (self.srtt_us + 4.0 * self.rttvar_us).clamp(floor, 64_000_000.0)
         } else {
@@ -1310,25 +1310,19 @@ mod tests {
     #[test]
     fn rto_starts_at_the_floor_and_doubles_with_backoff() {
         let mut t = tcb();
-        let c = cfg();
-        assert_eq!(
-            t.rto(&c),
-            SimTime::from_us(c.rto_min_us),
-            "no samples: floor"
-        );
+        assert_eq!(t.rto(), SimTime::from_us(RTO_MIN_US), "no samples: floor");
         t.rexmt_shift = 1;
-        assert_eq!(t.rto(&c), SimTime::from_us(c.rto_min_us) * 2);
+        assert_eq!(t.rto(), SimTime::from_us(RTO_MIN_US) * 2);
         t.rexmt_shift = 3;
-        assert_eq!(t.rto(&c), SimTime::from_us(c.rto_min_us) * 8);
+        assert_eq!(t.rto(), SimTime::from_us(RTO_MIN_US) * 8);
         // The doubling saturates at shift 6 (64x), as before.
         t.rexmt_shift = 10;
-        assert_eq!(t.rto(&c), SimTime::from_us(c.rto_min_us) * 64);
+        assert_eq!(t.rto(), SimTime::from_us(RTO_MIN_US) * 64);
     }
 
     #[test]
     fn rtt_samples_feed_the_estimator_but_lan_rtts_stay_floored() {
         let mut t = tcb();
-        let c = cfg();
         t.note_sent(t.snd_nxt, 1000, SimTime::ZERO, SimTime::from_ms(500));
         assert!(t.rtt_timed.is_some(), "first transmission is timed");
         let una = t.snd_una;
@@ -1343,7 +1337,7 @@ mod tests {
         assert!((t.srtt_us - 600.0).abs() < 1e-9);
         assert!((t.rttvar_us - 300.0).abs() < 1e-9);
         // 600 + 4*300 = 1800 µs, far under the 500 ms floor.
-        assert_eq!(t.rto(&c), SimTime::from_us(c.rto_min_us));
+        assert_eq!(t.rto(), SimTime::from_us(RTO_MIN_US));
     }
 
     #[test]

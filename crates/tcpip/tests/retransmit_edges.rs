@@ -16,7 +16,7 @@
 use decstation::CostModel;
 use mbuf::Chain;
 use simkit::SimTime;
-use tcpip::config::tcp_mss;
+use tcpip::config::{tcp_mss, RTO_MIN_US};
 use tcpip::{CaptureDriver, CcVariant, Kernel, PcbKey, SockId, StackConfig};
 
 const MTU: usize = 9188;
@@ -85,7 +85,7 @@ fn backoff_caps_and_aborts_at_default_maxrxtshift() {
     let _ = a.syscall_write(SimTime::ZERO, sa, &[3u8; 300], &mut da);
     da.packets.clear(); // The network loses everything, forever.
 
-    let floor = SimTime::from_us(cfg.rto_min_us);
+    let floor = SimTime::from_us(RTO_MIN_US);
     let mut fires = 0u32;
     while let Some(dl) = a.next_deadline() {
         let _ = a.check_timers(dl + SimTime::from_us(1), &mut da);
@@ -104,7 +104,7 @@ fn backoff_caps_and_aborts_at_default_maxrxtshift() {
         // long before the abort limit: fires 6..=12 all wait the
         // same interval.
         assert_eq!(
-            a.tcb(sa).rto(&cfg),
+            a.tcb(sa).rto(),
             floor * (1u64 << fires.min(6)),
             "RTO doubles then saturates at 64× the floor"
         );
@@ -220,7 +220,7 @@ fn app_write_during_rto_backoff_preserves_karn_state() {
     let cfg = StackConfig::default();
     let (mut a, _b, sa, _sb) = pair(cfg);
     let mut da = CaptureDriver::new(MTU);
-    let floor = SimTime::from_us(cfg.rto_min_us);
+    let floor = SimTime::from_us(RTO_MIN_US);
 
     // First request; the network loses it and two retransmissions.
     let _ = a.syscall_write(SimTime::ZERO, sa, &[4u8; 400], &mut da);
@@ -239,7 +239,7 @@ fn app_write_during_rto_backoff_preserves_karn_state() {
         .tcb(sa)
         .rexmt_deadline
         .expect("timer armed for the next fire");
-    assert_eq!(a.tcb(sa).rto(&cfg), floor * 4, "backed off twice");
+    assert_eq!(a.tcb(sa).rto(), floor * 4, "backed off twice");
 
     // The application gives up waiting and reissues the request
     // mid-backoff — the tail-tolerant retry path. The write must not
@@ -276,7 +276,7 @@ fn app_write_during_rto_backoff_preserves_karn_state() {
         shift + 1,
         "backoff continues, not restarts"
     );
-    assert_eq!(a.tcb(sa).rto(&cfg), floor * 8);
+    assert_eq!(a.tcb(sa).rto(), floor * 8);
 }
 
 /// The 3rd-dup-ACK edge, parameterized over every armed variant: the

@@ -15,13 +15,15 @@
 //! switch pass runs at event-execution time inside one simulation —
 //! nothing depends on wall clock or scheduling outside the sim.
 
-use atm::{AtmSwitch, LinkFault, SwitchOutcome, VcRoute};
+use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
-use simkit::{Scheduler, Sim, SimTime, TimerId};
+use latency_core::hedge::MitigationCost;
+use latency_core::nic::{AtmNic, Delivery, DeliveryPayload};
+use latency_core::world::TcpTimer;
+use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
-use crate::nic::{DcDelivery, DcNic};
 use crate::topology::{TailPolicy, Topology, TrafficSchedule};
 
 /// Base port of client-side connections (`+ conn index`).
@@ -167,35 +169,23 @@ pub struct FanoutCtl {
     p95: simcap::Recorder,
     /// Typed per-request outcomes, parallel to `completions`.
     pub outcomes: Vec<RequestOutcome>,
-    /// Hedged requests issued.
-    pub hedges_issued: u64,
-    /// Hedges whose replica reply resolved the slot first.
-    pub hedges_won: u64,
-    /// Hedges beaten by their own primary — pure extra load.
-    pub hedges_wasted: u64,
-    /// Application-level retries written.
-    pub retries_issued: u64,
-    /// Retries suppressed by an empty budget bucket.
-    pub budget_exhausted: u64,
-    /// Rounds that recorded `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Sub-request results discarded as stragglers (slots slower than
-    /// the recorded completion: beyond the quorum or the deadline).
-    pub cancelled: u64,
+    /// The mitigation's cost counters. A cancelled sub-request is a
+    /// slot slower than the recorded completion: beyond the quorum or
+    /// the deadline.
+    pub cost: MitigationCost,
 }
 
 /// One simulated host.
 pub struct DcHost {
     /// The kernel (stack + CPU + spans).
     pub kernel: Kernel,
-    /// The network interface.
-    pub nic: DcNic,
+    /// The network interface: one TCA-100 uplink into the shared
+    /// switch (its inline `switch` stays `None`).
+    pub nic: AtmNic,
     /// Connection endpoints, indexed by socket id.
     pub conns: Vec<DcConn>,
-    /// Earliest scheduled TCP timer event, to avoid duplicates.
-    timer_at: Option<SimTime>,
-    /// Permanent engine timer slot for this host's TCP timer.
-    timer: Option<TimerId>,
+    /// This host's TCP-timer slot.
+    timer: TcpTimer,
     /// Fan-out barrier state (measured client hosts of a fan-out
     /// world only).
     pub fanout: Option<FanoutCtl>,
@@ -283,7 +273,8 @@ impl DcWorld {
                 },
                 hs,
             );
-            let mut atm_nic = latency_core::nic::AtmNic::new(link, costs.clone(), 0, hs);
+            let mut nic = AtmNic::new(link, costs.clone(), hs);
+            nic.mtu = topo.mtu;
             // Churn uplinks carry no fault schedule: per-cell jitter
             // would break the FIFO order of a multi-cell AAL5 train
             // and the reassembler would drop the PDU. The aperiodic
@@ -291,7 +282,7 @@ impl DcWorld {
             if h < measured {
                 if let Some(faults) = &topo.faults {
                     if topo.faults_apply_to(h) {
-                        atm_nic.arm_faults(faults, hs);
+                        nic.arm_faults(faults, hs);
                     }
                 }
             }
@@ -316,13 +307,7 @@ impl DcWorld {
                 hedged_slot: None,
                 p95: simcap::Recorder::upper_only(),
                 outcomes: Vec::new(),
-                hedges_issued: 0,
-                hedges_won: 0,
-                hedges_wasted: 0,
-                retries_issued: 0,
-                budget_exhausted: 0,
-                deadline_exceeded: 0,
-                cancelled: 0,
+                cost: MitigationCost::default(),
             });
             // Host pause windows follow the fault scope, like every
             // other injector; churn hosts are never fault-armed.
@@ -333,10 +318,9 @@ impl DcWorld {
             };
             hosts.push(DcHost {
                 kernel: Kernel::new(cfg, costs.clone()),
-                nic: DcNic::new(h, atm_nic, topo.mtu),
+                nic,
                 conns: Vec::new(),
-                timer_at: None,
-                timer: None,
+                timer: TcpTimer::default(),
                 fanout,
                 pause,
             });
@@ -355,9 +339,14 @@ impl DcWorld {
                     continue;
                 }
                 wired.push(srv);
-                hosts[c].nic.add_peer(srv);
-                hosts[srv].nic.add_peer(c);
                 for (src, dst) in [(c, srv), (srv, c)] {
+                    // The MID carries the low bits of the sender index
+                    // (10-bit field); trains are delivered whole, so
+                    // MID collisions cannot occur mid-reassembly.
+                    let mid = (src & 0x3ff) as u16;
+                    hosts[src]
+                        .nic
+                        .add_peer(Topology::addr(dst), dst, Topology::vci_to(dst), mid);
                     switch.add_vc(
                         src,
                         0,
@@ -497,17 +486,9 @@ impl DcWorld {
     fn pcb_counters_where(&self, keep: impl Fn(usize) -> bool) -> PcbCounters {
         let mut acc = PcbCounters::default();
         for (h, host) in self.hosts.iter().enumerate() {
-            if !keep(h) {
-                continue;
+            if keep(h) {
+                acc += host.kernel.pcbs.counters();
             }
-            let c = host.kernel.pcbs.counters();
-            acc.lookups += c.lookups;
-            acc.hits += c.hits;
-            acc.misses += c.misses;
-            acc.cache_hits += c.cache_hits;
-            acc.cache_misses += c.cache_misses;
-            acc.traversed += c.traversed;
-            acc.hash_probes += c.hash_probes;
         }
         acc
     }
@@ -559,20 +540,8 @@ pub struct DcRunResult {
     /// host pool — covers cancelled and hedged sub-requests too, whose
     /// connections must release their buffers like any other.
     pub mbufs_leaked: u64,
-    /// Hedged requests issued across every fan-out client.
-    pub hedges_issued: u64,
-    /// Hedges whose replica reply won the slot.
-    pub hedges_won: u64,
-    /// Hedges beaten by their own primary.
-    pub hedges_wasted: u64,
-    /// Application-level retries written.
-    pub retries_issued: u64,
-    /// Retries suppressed by an empty budget bucket.
-    pub budget_exhausted: u64,
-    /// Logical requests that recorded `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Sub-request results discarded as stragglers.
-    pub cancelled: u64,
+    /// Tail-mitigation cost counters summed over every fan-out client.
+    pub cost: MitigationCost,
 }
 
 impl DcRunResult {
@@ -614,9 +583,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
     let mut aborted_conns = 0;
     let mut completions = Vec::new();
     let mut fanout_aborts = 0;
-    let (mut hedges_issued, mut hedges_won, mut hedges_wasted) = (0, 0, 0);
-    let (mut retries_issued, mut budget_exhausted) = (0, 0);
-    let (mut deadline_exceeded, mut cancelled) = (0, 0);
+    let mut cost = MitigationCost::default();
     for host in &w.hosts {
         for conn in &host.conns {
             rtts.extend_from_slice(&conn.rtts);
@@ -626,13 +593,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
         if let Some(ctl) = &host.fanout {
             completions.extend_from_slice(&ctl.completions);
             fanout_aborts += u64::from(ctl.aborted);
-            hedges_issued += ctl.hedges_issued;
-            hedges_won += ctl.hedges_won;
-            hedges_wasted += ctl.hedges_wasted;
-            retries_issued += ctl.retries_issued;
-            budget_exhausted += ctl.budget_exhausted;
-            deadline_exceeded += ctl.deadline_exceeded;
-            cancelled += ctl.cancelled;
+            cost += ctl.cost;
         }
     }
     let clients = w.topo.clients;
@@ -666,13 +627,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
         rexmits,
         rto_fires,
         mbufs_leaked: 0,
-        hedges_issued,
-        hedges_won,
-        hedges_wasted,
-        retries_issued,
-        budget_exhausted,
-        deadline_exceeded,
-        cancelled,
+        cost,
     };
     // Teardown frees every chain still held by sockets, queues and
     // adapters — including the connections of cancelled or hedged
@@ -727,7 +682,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     let mut sim = Sim::new(world);
     for h in 0..sim.world.hosts.len() {
         let id = sim.register_timer("dc-tcp-timer", on_timer_raw, h as u64);
-        sim.world.hosts[h].timer = Some(id);
+        sim.world.hosts[h].timer.bind(id);
     }
     let clients = sim.world.topo.clients;
     let measured = sim.world.topo.measured_hosts();
@@ -831,68 +786,36 @@ fn on_timer_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
     on_timer(w, s, h as usize);
 }
 
-/// Schedules staged deliveries — running the shared-switch pass per
-/// cell — and (re)arms the TCP timer after any kernel interaction on
-/// host `h`.
-///
-/// The switch pass mirrors the inline-switch semantics of the
-/// two-host NIC exactly: lost cells stay lost, forwarded cells leave
-/// at `departure` (fabric latency + output-queue serialization) and
-/// then cross the destination's downlink, full queues tail-drop, and
-/// fabric corruption is relabeled only when the payload actually
-/// changed.
+/// Schedules staged deliveries — running the shared switch's
+/// per-cell [`AtmSwitch::pass`] over each train, then the
+/// destination's downlink — and (re)arms the TCP timer after any
+/// kernel interaction on host `h`.
 fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    for DcDelivery { dst, train } in std::mem::take(&mut w.hosts[h].nic.staged) {
-        let was_corrupt = w.switch.config.corrupt_prob > 0.0;
+    for Delivery { dst, payload, .. } in std::mem::take(&mut w.hosts[h].nic.staged) {
+        let DeliveryPayload::Cells(mut train) = payload else {
+            unreachable!("datacenter hosts stage cell trains")
+        };
         let down = w.topo.link_delay(dst);
-        let mut out = Vec::with_capacity(train.len());
-        let mut last = SimTime::ZERO;
-        let mut delivered = false;
-        for (at, fault) in train {
-            let (at, fault) = match fault {
-                LinkFault::Lost => (at, LinkFault::Lost),
-                LinkFault::Clean(c) | LinkFault::Corrupted(c) => {
-                    match w.switch.forward(h, at, &c) {
-                        SwitchOutcome::Forwarded {
-                            departure, cell, ..
-                        } => {
-                            delivered = true;
-                            let arrival = departure + down;
-                            last = last.max(arrival);
-                            if was_corrupt && cell.payload() != c.payload() {
-                                (arrival, LinkFault::Corrupted(cell))
-                            } else {
-                                (arrival, LinkFault::Clean(cell))
-                            }
-                        }
-                        SwitchOutcome::UnknownVc
-                        | SwitchOutcome::QueueFull
-                        | SwitchOutcome::Discarded => (at, LinkFault::Lost),
-                    }
-                }
-            };
-            out.push((at, fault));
-        }
-        if delivered {
-            // The hardware interrupt fires when the train's last cell
-            // reaches the destination adapter.
-            let at = last.max(s.now());
-            s.schedule_at(at, "dc-arrival", move |w, s| {
-                on_dc_arrival(w, s, h, dst, out)
-            });
+        let mut last = None;
+        for cell in &mut train {
+            let (at, fault) = std::mem::replace(cell, (SimTime::ZERO, LinkFault::Lost));
+            *cell = w.switch.pass(h, at, fault, down);
+            if !matches!(cell.1, LinkFault::Lost) {
+                last = last.max(Some(cell.0));
+            }
         }
         // A fully-lost train arrives nowhere; TCP's retransmit timer
-        // is the recovery path.
-    }
-    if let Some(dl) = w.hosts[h].kernel.next_deadline() {
-        let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
-        if stale {
-            w.hosts[h].timer_at = Some(dl);
-            let at = dl.max(s.now());
-            let id = w.hosts[h].timer.expect("timer slot registered");
-            s.arm_timer(id, at);
+        // is the recovery path. Otherwise the hardware interrupt
+        // fires when the train's last cell reaches the destination
+        // adapter.
+        if let Some(last) = last {
+            s.schedule_at(last.max(s.now()), "dc-arrival", move |w, s| {
+                on_dc_arrival(w, s, h, dst, train)
+            });
         }
     }
+    let host = &mut w.hosts[h];
+    host.timer.rearm(&host.kernel, s);
 }
 
 /// ATM datagram arrival at host `h` from host `src`: the hardware
@@ -926,7 +849,7 @@ fn on_dc_arrival(
     }
     let host = &mut w.hosts[h];
     if let Some(at) =
-        latency_core::nic::atm_receive(&mut host.kernel, &mut host.nic.atm, s.now(), &train)
+        latency_core::nic::atm_receive(&mut host.kernel, &mut host.nic, s.now(), &train)
     {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
@@ -935,10 +858,7 @@ fn on_dc_arrival(
 /// The software interrupt: IP/TCP input, wakeups, responses.
 fn on_softintr(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
     let host = &mut w.hosts[h];
-    let out = {
-        let DcHost { kernel, nic, .. } = host;
-        kernel.ipintr(s.now(), nic)
-    };
+    let out = host.kernel.ipintr(s.now(), &mut host.nic);
     flush_dc(w, s, h);
     for (sock, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
         let at = (*run_at).max(s.now());
@@ -948,12 +868,9 @@ fn on_softintr(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
 
 /// A TCP timer event on host `h`.
 fn on_timer(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    w.hosts[h].timer_at = None;
     let host = &mut w.hosts[h];
-    let _ = {
-        let DcHost { kernel, nic, .. } = host;
-        kernel.check_timers(s.now(), nic)
-    };
+    host.timer.fired();
+    let _ = host.kernel.check_timers(s.now(), &mut host.nic);
     flush_dc(w, s, h);
     // A timer may have aborted a connection (retransmit limit) and
     // woken the blocked process so it can observe the error.
@@ -1281,9 +1198,9 @@ fn fanout_reply_tail(
                 // Scored when the slot resolves: the replica either
                 // beat the primary or duplicated work it lost to.
                 if c >= width {
-                    ctl.hedges_won += 1;
+                    ctl.cost.hedges_won += 1;
                 } else {
-                    ctl.hedges_wasted += 1;
+                    ctl.cost.hedges_wasted += 1;
                 }
             }
         }
@@ -1334,9 +1251,9 @@ fn fanout_reply_tail(
             Some(d) if kth > d => (d, RequestOutcome::DeadlineExceeded),
             _ => (kth, RequestOutcome::Ok),
         };
-        ctl.cancelled += times.iter().filter(|&&t| t > completion).count() as u64;
+        ctl.cost.cancelled += times.iter().filter(|&&t| t > completion).count() as u64;
         if outcome == RequestOutcome::DeadlineExceeded {
-            ctl.deadline_exceeded += 1;
+            ctl.cost.deadline_exceeded += 1;
             deadline_hit = true;
         }
         if round >= warmup {
@@ -1488,7 +1405,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
         ctl.hedged_slot = Some(slot);
-        ctl.hedges_issued += 1;
+        ctl.cost.hedges_issued += 1;
         ctl.pending += 1;
     }
     let conn = &mut w.hosts[h].conns[rc];
@@ -1554,11 +1471,11 @@ fn on_retry(
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
         if ctl.tokens == 0 {
-            ctl.budget_exhausted += 1;
+            ctl.cost.budget_exhausted += 1;
             return;
         }
         ctl.tokens -= 1;
-        ctl.retries_issued += 1;
+        ctl.cost.retries_issued += 1;
     }
     let now = s.now();
     let (sock, data) = {
@@ -1782,8 +1699,8 @@ mod tests {
         assert_eq!(classic.completions, noop.completions);
         assert_eq!(classic.events, noop.events);
         assert_eq!(classic.sim_time, noop.sim_time);
-        assert_eq!(noop.hedges_issued, 0);
-        assert_eq!(noop.retries_issued, 0);
+        assert_eq!(noop.cost.hedges_issued, 0);
+        assert_eq!(noop.cost.retries_issued, 0);
     }
 
     #[test]
@@ -1804,8 +1721,11 @@ mod tests {
         });
         let capped = run_dc(&t, TrafficSchedule::staggered(), 3);
         assert_eq!(capped.completions.len(), base.completions.len());
-        assert!(capped.deadline_exceeded > 0, "no round hit the deadline");
-        assert!(capped.cancelled > 0, "no straggler was cancelled");
+        assert!(
+            capped.cost.deadline_exceeded > 0,
+            "no round hit the deadline"
+        );
+        assert!(capped.cost.cancelled > 0, "no straggler was cancelled");
         assert!(capped
             .completions
             .iter()
@@ -1833,8 +1753,11 @@ mod tests {
         let r = run_dc(&t, TrafficSchedule::staggered(), 7);
         assert_eq!(r.completions.len(), 6);
         assert_eq!(r.verify_failures, 0);
-        assert!(r.hedges_issued > 0, "no hedge fired");
-        assert_eq!(r.hedges_won + r.hedges_wasted, r.hedges_issued);
+        assert!(r.cost.hedges_issued > 0, "no hedge fired");
+        assert_eq!(
+            r.cost.hedges_won + r.cost.hedges_wasted,
+            r.cost.hedges_issued
+        );
         assert_eq!(r.mbufs_leaked, 0);
     }
 
@@ -1858,14 +1781,18 @@ mod tests {
         let r = run_dc(&t, TrafficSchedule::staggered(), 11);
         assert_eq!(r.completions.len(), 4);
         assert_eq!(r.verify_failures, 0, "retried echoes must still verify");
-        assert!(r.retries_issued > 0, "no retry fired");
+        assert!(r.cost.retries_issued > 0, "no retry fired");
         assert!(
-            r.budget_exhausted > 0,
+            r.cost.budget_exhausted > 0,
             "the token bucket never ran dry: {} retries",
-            r.retries_issued
+            r.cost.retries_issued
         );
         // 3 initial tokens + 1 per round refill across 3 releases.
-        assert!(r.retries_issued <= 6, "budget leak: {}", r.retries_issued);
+        assert!(
+            r.cost.retries_issued <= 6,
+            "budget leak: {}",
+            r.cost.retries_issued
+        );
         assert_eq!(r.mbufs_leaked, 0);
     }
 

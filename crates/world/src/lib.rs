@@ -41,12 +41,10 @@
 #![warn(missing_docs)]
 
 pub mod dc;
-pub mod nic;
 pub mod study;
 pub mod topology;
 
 pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
-pub use nic::{DcDelivery, DcNic};
 pub use study::{
     canonical_json, mitigation_policy, rep_seed, run_dc_cells, run_dc_cells_with, study, CcStudy,
     DcCell, DcCellResult, DcStudy, HedgeStudy, Study, StudyCell, TailsStudy, STUDIES,

@@ -314,14 +314,7 @@ fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
         acc.sim_time = acc.sim_time.max(r.sim_time);
         acc.verify_failures += r.verify_failures;
         acc.aborted_conns += r.aborted_conns;
-        let pcb = &mut acc.server_pcb;
-        pcb.lookups += r.server_pcb.lookups;
-        pcb.hits += r.server_pcb.hits;
-        pcb.misses += r.server_pcb.misses;
-        pcb.cache_hits += r.server_pcb.cache_hits;
-        pcb.cache_misses += r.server_pcb.cache_misses;
-        pcb.traversed += r.server_pcb.traversed;
-        pcb.hash_probes += r.server_pcb.hash_probes;
+        acc.server_pcb += r.server_pcb;
         acc.switch_forwarded += r.switch_forwarded;
         acc.switch_drops += r.switch_drops;
         acc.epd_drops += r.epd_drops;
@@ -332,14 +325,7 @@ fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
         acc.completions.extend_from(&r.completions);
         acc.fanout_aborts += r.fanout_aborts;
         acc.mbufs_leaked += r.mbufs_leaked;
-        let cost = &mut acc.cost;
-        cost.hedges_issued += r.hedges_issued;
-        cost.hedges_won += r.hedges_won;
-        cost.hedges_wasted += r.hedges_wasted;
-        cost.retries_issued += r.retries_issued;
-        cost.budget_exhausted += r.budget_exhausted;
-        cost.deadline_exceeded += r.deadline_exceeded;
-        cost.cancelled += r.cancelled;
+        acc.cost += r.cost;
     }
     acc
 }

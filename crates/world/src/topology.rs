@@ -14,6 +14,12 @@ use simkit::SimTime;
 use tcpip::config::PcbOrg;
 use tcpip::StackConfig;
 
+/// Host-to-switch propagation delay of host 0.
+pub const BASE_DELAY: SimTime = SimTime::from_us(2);
+
+/// Extra propagation per host index: a rack-position spread.
+pub const DELAY_STEP: SimTime = SimTime::from_ns(10);
+
 /// The paper's three PCB lookup strategies (§3), as a grid axis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PcbStrategy {
@@ -278,11 +284,6 @@ pub struct Topology {
     pub warmup: u64,
     /// PCB lookup strategy on every host.
     pub strategy: PcbStrategy,
-    /// Host-to-switch propagation delay of host 0.
-    pub base_delay: SimTime,
-    /// Extra propagation per host index (a rack-position spread; zero
-    /// for an equidistant fabric).
-    pub delay_step: SimTime,
     /// The shared cell switch.
     pub switch: SwitchConfig,
     /// Base stack configuration; [`PcbStrategy::apply`] runs on top.
@@ -324,8 +325,6 @@ impl Topology {
             iterations: 3,
             warmup: 1,
             strategy: PcbStrategy::Hash,
-            base_delay: SimTime::from_us(2),
-            delay_step: SimTime::from_ns(10),
             switch: SwitchConfig::default(),
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
@@ -353,8 +352,6 @@ impl Topology {
             iterations: 3,
             warmup: 1,
             strategy: PcbStrategy::Hash,
-            base_delay: SimTime::from_us(2),
-            delay_step: SimTime::from_ns(10),
             switch: SwitchConfig::default(),
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
@@ -493,15 +490,6 @@ impl Topology {
         [10, 1, (h >> 8) as u8, (h & 0xff) as u8]
     }
 
-    /// Inverse of [`Topology::addr`].
-    #[must_use]
-    pub fn host_of_addr(addr: [u8; 4]) -> Option<usize> {
-        if addr[0] != 10 || addr[1] != 1 {
-            return None;
-        }
-        Some((usize::from(addr[2]) << 8) | usize::from(addr[3]))
-    }
-
     /// The VCI a sender uses for cells destined to host `dst` (the
     /// switch routes on `(in_port, vpi, vci)`, so a per-destination
     /// VCI is enough for any number of senders).
@@ -514,7 +502,7 @@ impl Topology {
     /// uplink and downlink).
     #[must_use]
     pub fn link_delay(&self, h: usize) -> SimTime {
-        self.base_delay + self.delay_step * h as u64
+        BASE_DELAY + DELAY_STEP * h as u64
     }
 
     /// Total client connections (including replica connections in a
@@ -627,9 +615,10 @@ mod tests {
     #[test]
     fn addr_roundtrip() {
         for h in [0usize, 1, 255, 256, 4095] {
-            assert_eq!(Topology::host_of_addr(Topology::addr(h)), Some(h));
+            let a = Topology::addr(h);
+            assert_eq!(a[..2], [10, 1], "off the two-host 10.0.0.x plan");
+            assert_eq!((usize::from(a[2]) << 8) | usize::from(a[3]), h);
         }
-        assert_eq!(Topology::host_of_addr([10, 0, 0, 1]), None);
     }
 
     #[test]

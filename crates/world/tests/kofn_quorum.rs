@@ -64,11 +64,11 @@ fn completion_is_kth_smallest_subrequest_rtt_across_widths_and_k() {
                         .sum();
                     let slack = t.warmup * (width - k) as u64;
                     assert!(
-                        ctl.cancelled >= measured_cancelled
-                            && ctl.cancelled <= measured_cancelled + slack,
+                        ctl.cost.cancelled >= measured_cancelled
+                            && ctl.cost.cancelled <= measured_cancelled + slack,
                         "width {width} K {k} seed {seed} host {h}: cancelled \
                          {} outside [{measured_cancelled}, {}]",
-                        ctl.cancelled,
+                        ctl.cost.cancelled,
                         measured_cancelled + slack
                     );
                 }

@@ -168,9 +168,9 @@ proptest! {
         let again = run_dc(&build(), TrafficSchedule::staggered(), u64::from(seed));
         prop_assert_eq!(&r.rtts, &again.rtts);
         prop_assert_eq!(&r.completions, &again.completions);
-        prop_assert_eq!(r.cancelled, again.cancelled);
-        prop_assert_eq!(r.hedges_issued, again.hedges_issued);
-        prop_assert_eq!(r.retries_issued, again.retries_issued);
+        prop_assert_eq!(r.cost.cancelled, again.cost.cancelled);
+        prop_assert_eq!(r.cost.hedges_issued, again.cost.hedges_issued);
+        prop_assert_eq!(r.cost.retries_issued, again.cost.retries_issued);
     }
 }
 

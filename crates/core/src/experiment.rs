@@ -363,15 +363,21 @@ impl RunPlan<'_> {
     }
 
     /// Executes the plan: `reps` repetitions starting at `seed`, RTT
-    /// samples pooled and breakdowns averaged.
+    /// samples pooled and breakdowns averaged with equal weight per
+    /// repetition.
     #[must_use]
     pub fn execute(self) -> RunResult {
         assert!(self.reps >= 1, "a plan needs at least one repetition");
         let shared = share_observers(self.observers);
         let mut acc = run_single(self.exp, self.seed, &shared);
+        if self.reps > 1 {
+            acc.rtts
+                .reserve_exact(acc.rtts.len() * (self.reps as usize - 1));
+        }
         for rep in 1..self.reps {
             let r = run_single(self.exp, self.seed.wrapping_add(rep), &shared);
             acc.rtts.extend(r.rtts);
+            acc.breakdown_iters += r.breakdown_iters;
             acc.verify_failures += r.verify_failures;
             acc.bytes_moved += r.bytes_moved;
             acc.events += r.events;
@@ -380,10 +386,12 @@ impl RunPlan<'_> {
             acc.aborted |= r.aborted;
             acc.mbufs_leaked.0 += r.mbufs_leaked.0;
             acc.mbufs_leaked.1 += r.mbufs_leaked.1;
-            // Breakdowns: average of averages (equal iteration counts).
-            let k = 2.0;
-            acc.tx = avg_tx(&acc.tx, &r.tx, k);
-            acc.rx = avg_rx(&acc.rx, &r.rx, k);
+            // Breakdowns: the running mean over repetitions, each
+            // weighted equally. Identical repetitions (every clean
+            // run) leave it bit-equal to one repetition's.
+            let n = (rep + 1) as f64;
+            acc.tx = mean_tx(&acc.tx, &r.tx, n);
+            acc.rx = mean_rx(&acc.rx, &r.rx, n);
         }
         acc.obs = self.obs;
         acc
@@ -440,26 +448,34 @@ fn run_single(exp: &Experiment, seed: u64, shared: &SharedObservers) -> RunResul
 const _: () = simkit::assert_world_send::<Experiment>();
 const _: () = simkit::assert_world_send::<RunResult>();
 
-fn avg_tx(a: &TxBreakdown, b: &TxBreakdown, _k: f64) -> TxBreakdown {
+/// One step of a running mean: `acc + (x - acc) / n`, where `x` is
+/// the `n`-th value.
+fn running_mean(acc: f64, x: f64, n: f64) -> f64 {
+    acc + (x - acc) / n
+}
+
+fn mean_tx(a: &TxBreakdown, b: &TxBreakdown, n: f64) -> TxBreakdown {
+    let m = |acc, x| running_mean(acc, x, n);
     TxBreakdown {
-        user: (a.user + b.user) / 2.0,
-        cksum: (a.cksum + b.cksum) / 2.0,
-        mcopy: (a.mcopy + b.mcopy) / 2.0,
-        segment: (a.segment + b.segment) / 2.0,
-        ip: (a.ip + b.ip) / 2.0,
-        driver: (a.driver + b.driver) / 2.0,
+        user: m(a.user, b.user),
+        cksum: m(a.cksum, b.cksum),
+        mcopy: m(a.mcopy, b.mcopy),
+        segment: m(a.segment, b.segment),
+        ip: m(a.ip, b.ip),
+        driver: m(a.driver, b.driver),
     }
 }
 
-fn avg_rx(a: &RxBreakdown, b: &RxBreakdown, _k: f64) -> RxBreakdown {
+fn mean_rx(a: &RxBreakdown, b: &RxBreakdown, n: f64) -> RxBreakdown {
+    let m = |acc, x| running_mean(acc, x, n);
     RxBreakdown {
-        driver: (a.driver + b.driver) / 2.0,
-        ipq: (a.ipq + b.ipq) / 2.0,
-        ip: (a.ip + b.ip) / 2.0,
-        cksum: (a.cksum + b.cksum) / 2.0,
-        segment: (a.segment + b.segment) / 2.0,
-        wakeup: (a.wakeup + b.wakeup) / 2.0,
-        user: (a.user + b.user) / 2.0,
+        driver: m(a.driver, b.driver),
+        ipq: m(a.ipq, b.ipq),
+        ip: m(a.ip, b.ip),
+        cksum: m(a.cksum, b.cksum),
+        segment: m(a.segment, b.segment),
+        wakeup: m(a.wakeup, b.wakeup),
+        user: m(a.user, b.user),
     }
 }
 
@@ -505,16 +521,21 @@ fn nic_stats(nic: &Nic) -> NicStats {
     }
 }
 
-/// Everything a repetition produced.
+/// Everything a plan produced. Samples, breakdowns and run totals
+/// pool every repetition; the per-host counters (`client_tcp` through
+/// `server_nic`) and `sim_time` describe the first repetition only.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// Per-iteration round-trip times.
     pub rtts: Vec<SimTime>,
-    /// Average transmit breakdown (client side).
+    /// Average transmit breakdown (client side), the mean over
+    /// repetitions.
     pub tx: TxBreakdown,
-    /// Average receive breakdown (client side).
+    /// Average receive breakdown (client side), the mean over
+    /// repetitions.
     pub rx: RxBreakdown,
-    /// Iterations that contributed to the breakdowns.
+    /// Iterations that contributed to the breakdowns, summed over
+    /// repetitions.
     pub breakdown_iters: usize,
     /// End-to-end payload verification failures.
     pub verify_failures: u64,

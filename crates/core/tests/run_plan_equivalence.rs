@@ -81,6 +81,64 @@ fn reps_pool_sequential_seeds() {
     assert_eq!(pooled.rtts, expect);
 }
 
+/// The breakdown fields of a result, in a fixed order.
+fn breakdown(r: &RunResult) -> [f64; 13] {
+    [
+        r.tx.user,
+        r.tx.cksum,
+        r.tx.mcopy,
+        r.tx.segment,
+        r.tx.ip,
+        r.tx.driver,
+        r.rx.driver,
+        r.rx.ipq,
+        r.rx.ip,
+        r.rx.cksum,
+        r.rx.segment,
+        r.rx.wakeup,
+        r.rx.user,
+    ]
+}
+
+#[test]
+fn reps_weigh_every_repetition_equally() {
+    // Bit errors make the repetitions differ, so the pooled
+    // breakdowns are a real mean: each one must be the running mean
+    // of the three single repetitions, and the iteration counts sum.
+    let mut e = quick(NetKind::Atm, 1400);
+    e.ber = 2e-5;
+    let base = 11u64;
+    let pooled = e.plan().seed(base).reps(3).execute();
+    let singles: Vec<RunResult> = (0..3).map(|r| e.plan().seed(base + r).execute()).collect();
+    assert!(
+        singles
+            .windows(2)
+            .any(|w| breakdown(&w[0]) != breakdown(&w[1])),
+        "the error rate must make the repetitions differ"
+    );
+    let mut mean = breakdown(&singles[0]);
+    for (i, one) in singles.iter().enumerate().skip(1) {
+        let n = (i + 1) as f64;
+        for (acc, x) in mean.iter_mut().zip(breakdown(one)) {
+            *acc += (x - *acc) / n;
+        }
+    }
+    let bits = |v: [f64; 13]| v.map(f64::to_bits);
+    assert_eq!(bits(breakdown(&pooled)), bits(mean));
+    let iters: usize = singles.iter().map(|r| r.breakdown_iters).sum();
+    assert_eq!(pooled.breakdown_iters, iters);
+    assert_eq!(pooled.rtts.len(), pooled.rtts.capacity(), "exact reserve");
+}
+
+#[test]
+fn clean_reps_keep_one_repetitions_breakdowns() {
+    let one = quick(NetKind::Atm, 200).plan().seed(4).execute();
+    let three = quick(NetKind::Atm, 200).plan().seed(4).reps(3).execute();
+    let bits = |v: [f64; 13]| v.map(f64::to_bits);
+    assert_eq!(bits(breakdown(&three)), bits(breakdown(&one)));
+    assert_eq!(three.breakdown_iters, 3 * one.breakdown_iters);
+}
+
 #[test]
 fn observers_do_not_perturb_and_fire_in_order() {
     let silent = quick(NetKind::Atm, 500).plan().seed(5).execute();

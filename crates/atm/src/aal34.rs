@@ -116,24 +116,6 @@ impl Aal34Segmenter {
         cpcs.div_ceil(SAR_PAYLOAD)
     }
 
-    /// Builds the CPCS-PDU for a datagram.
-    fn cpcs_pdu(&mut self, data: &[u8]) -> Vec<u8> {
-        let padded = data.len().div_ceil(4) * 4;
-        let mut pdu = Vec::with_capacity(CPCS_OVERHEAD + padded);
-        self.btag = self.btag.wrapping_add(1);
-        // Header: CPI, BTag, BASize (buffer allocation hint).
-        pdu.push(0); // CPI: only value 0 is defined.
-        pdu.push(self.btag);
-        pdu.extend_from_slice(&(padded as u16).to_be_bytes());
-        pdu.extend_from_slice(data);
-        pdu.resize(4 + padded, 0);
-        // Trailer: AL (alignment), ETag, Length.
-        pdu.push(0);
-        pdu.push(self.btag);
-        pdu.extend_from_slice(&(data.len() as u16).to_be_bytes());
-        pdu
-    }
-
     /// Segments a datagram into cells.
     ///
     /// # Panics
@@ -141,13 +123,46 @@ impl Aal34Segmenter {
     /// Panics on datagrams longer than 65535 bytes (the CPCS Length
     /// field width).
     pub fn segment(&mut self, data: &[u8]) -> Vec<Cell> {
-        assert!(
-            data.len() <= u16::MAX as usize,
-            "datagram too long for AAL3/4"
+        let mut cells = Vec::with_capacity(Self::cells_for(data.len()));
+        self.segment_with(
+            data.len(),
+            |d| d.copy_from_slice(data),
+            &mut Vec::new(),
+            |c| cells.push(c),
         );
-        let pdu = self.cpcs_pdu(data);
+        cells
+    }
+
+    /// Segments a datagram of `len` bytes without allocating once the
+    /// scratch buffer has grown: `fill` writes the datagram into the
+    /// slice it is handed (the CPCS-PDU's payload, inside `pdu`), and
+    /// each cell goes to `emit` in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on datagrams longer than 65535 bytes (the CPCS Length
+    /// field width).
+    pub fn segment_with(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+        pdu: &mut Vec<u8>,
+        mut emit: impl FnMut(Cell),
+    ) {
+        assert!(len <= u16::MAX as usize, "datagram too long for AAL3/4");
+        let padded = len.div_ceil(4) * 4;
+        self.btag = self.btag.wrapping_add(1);
+        pdu.clear();
+        // Header: CPI (only 0 is defined), BTag, BASize (buffer
+        // allocation hint).
+        pdu.extend_from_slice(&[0, self.btag]);
+        pdu.extend_from_slice(&(padded as u16).to_be_bytes());
+        pdu.resize(4 + padded, 0);
+        fill(&mut pdu[4..4 + len]);
+        // Trailer: AL (alignment), ETag, Length.
+        pdu.extend_from_slice(&[0, self.btag]);
+        pdu.extend_from_slice(&(len as u16).to_be_bytes());
         let n_cells = pdu.len().div_ceil(SAR_PAYLOAD);
-        let mut cells = Vec::with_capacity(n_cells);
         for (i, chunk) in pdu.chunks(SAR_PAYLOAD).enumerate() {
             let st = if n_cells == 1 {
                 SegType::Ssm
@@ -158,10 +173,9 @@ impl Aal34Segmenter {
             } else {
                 SegType::Com
             };
-            cells.push(self.sar_cell(st, chunk));
+            emit(self.sar_cell(st, chunk));
             self.sn = (self.sn + 1) & 0xf;
         }
-        cells
     }
 
     fn sar_cell(&self, st: SegType, chunk: &[u8]) -> Cell {
@@ -201,12 +215,22 @@ pub struct Aal34Stats {
     pub datagrams_dropped: u64,
 }
 
+/// A message in reassembly. The 4-byte CPCS header is held apart
+/// from the rest, so a completed datagram is `buf` truncated to its
+/// length, with no copy.
 struct Partial {
     sn_expect: u8,
+    /// The CPCS header bytes received so far (`head_len` of them).
+    head: [u8; 4],
+    head_len: usize,
+    /// Everything after the CPCS header: payload, pad and trailer.
     buf: Vec<u8>,
     basize: usize,
     btag: u8,
 }
+
+/// Most spare datagram buffers a reassembler keeps for reuse.
+const SPARE_BUFFERS: usize = 8;
 
 /// Reassembly state machine for one virtual channel.
 ///
@@ -214,9 +238,14 @@ struct Partial {
 /// datagram when an EOM/SSM validates. On error the in-progress
 /// message is discarded and the error returned; the caller decides
 /// whether to count or log it (the driver counts, like real drivers).
+///
+/// Datagrams are built in recycled buffers: a caller done with a
+/// datagram may hand its buffer back with [`Aal34Reassembler::recycle`]
+/// so steady-state reassembly allocates nothing.
 #[derive(Default)]
 pub struct Aal34Reassembler {
     partial: Option<Partial>,
+    spare: Vec<Vec<u8>>,
     stats: Aal34Stats,
 }
 
@@ -231,6 +260,14 @@ impl Aal34Reassembler {
     #[must_use]
     pub fn stats(&self) -> Aal34Stats {
         self.stats
+    }
+
+    /// Returns a datagram buffer for reuse by later messages.
+    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+        if self.spare.len() < SPARE_BUFFERS {
+            buf.clear();
+            self.spare.push(buf);
+        }
     }
 
     /// Consumes one cell. Returns `Ok(Some(datagram))` when a message
@@ -258,17 +295,24 @@ impl Aal34Reassembler {
             0b11 => {
                 // Single-segment message: header and trailer in one cell.
                 self.drop_partial();
-                self.partial = Some(Partial {
-                    sn_expect: (sn + 1) & 0xf,
-                    buf: Vec::new(),
-                    basize: usize::MAX,
-                    btag: 0,
-                });
+                self.begin(sn);
                 self.ingest(li, data)?;
                 self.finish()
             }
             _ => unreachable!("2-bit field"),
         }
+    }
+
+    /// Opens a message in a spare buffer.
+    fn begin(&mut self, sn: u8) {
+        self.partial = Some(Partial {
+            sn_expect: (sn + 1) & 0xf,
+            head: [0; 4],
+            head_len: 0,
+            buf: self.spare.pop().unwrap_or_default(),
+            basize: usize::MAX,
+            btag: 0,
+        });
     }
 
     fn on_bom(&mut self, sn: u8, li: usize, data: &[u8]) -> Result<Option<Vec<u8>>, Aal34Error> {
@@ -287,12 +331,7 @@ impl Aal34Reassembler {
         if li != SAR_PAYLOAD {
             return Err(Aal34Error::BadLengthIndicator);
         }
-        self.partial = Some(Partial {
-            sn_expect: (sn + 1) & 0xf,
-            buf: Vec::new(),
-            basize: usize::MAX,
-            btag: 0,
-        });
+        self.begin(sn);
         self.ingest(li, data)
     }
 
@@ -335,44 +374,65 @@ impl Aal34Reassembler {
     /// first contact and enforcing the buffer allocation size.
     fn ingest(&mut self, li: usize, data: &[u8]) -> Result<(), Aal34Error> {
         let p = self.partial.as_mut().expect("ingest with active partial");
-        p.buf.extend_from_slice(&data[..li]);
-        if p.basize == usize::MAX && p.buf.len() >= 4 {
-            p.btag = p.buf[1];
-            p.basize = usize::from(u16::from_be_bytes([p.buf[2], p.buf[3]]));
+        let mut bytes = &data[..li];
+        if p.head_len < 4 {
+            let take = (4 - p.head_len).min(bytes.len());
+            p.head[p.head_len..p.head_len + take].copy_from_slice(&bytes[..take]);
+            p.head_len += take;
+            bytes = &bytes[take..];
+            if p.head_len == 4 {
+                p.btag = p.head[1];
+                p.basize = usize::from(u16::from_be_bytes([p.head[2], p.head[3]]));
+            }
         }
-        if p.basize != usize::MAX && p.buf.len() > 4 + p.basize + 4 {
+        p.buf.extend_from_slice(bytes);
+        if p.basize != usize::MAX && 4 + p.buf.len() > 4 + p.basize + 4 {
             self.drop_partial();
             return Err(Aal34Error::Overflow);
         }
         Ok(())
     }
 
-    /// Validates the CPCS framing and yields the datagram.
+    /// Validates the CPCS framing and yields the datagram: the
+    /// message's own buffer, truncated to the CPCS Length.
     fn finish(&mut self) -> Result<Option<Vec<u8>>, Aal34Error> {
         let p = self.partial.take().expect("finish with active partial");
-        let buf = p.buf;
-        if buf.len() < CPCS_OVERHEAD {
-            self.stats.datagrams_dropped += 1;
-            return Err(Aal34Error::LengthMismatch);
+        let mut buf = p.buf;
+        let verdict = if p.head_len + buf.len() < CPCS_OVERHEAD {
+            Err(Aal34Error::LengthMismatch)
+        } else {
+            // At least eight bytes: the header is whole and the
+            // trailer ends `buf`.
+            let n = buf.len();
+            let etag = buf[n - 3];
+            let length = usize::from(u16::from_be_bytes([buf[n - 2], buf[n - 1]]));
+            let padded = n - 4;
+            if etag != p.btag {
+                Err(Aal34Error::TagMismatch)
+            } else if length > padded || padded != length.div_ceil(4) * 4 {
+                Err(Aal34Error::LengthMismatch)
+            } else {
+                Ok(length)
+            }
+        };
+        match verdict {
+            Ok(length) => {
+                self.stats.datagrams_ok += 1;
+                buf.truncate(length);
+                Ok(Some(buf))
+            }
+            Err(e) => {
+                self.stats.datagrams_dropped += 1;
+                self.recycle(buf);
+                Err(e)
+            }
         }
-        let etag = buf[buf.len() - 3];
-        let length = usize::from(u16::from_be_bytes([buf[buf.len() - 2], buf[buf.len() - 1]]));
-        if etag != p.btag {
-            self.stats.datagrams_dropped += 1;
-            return Err(Aal34Error::TagMismatch);
-        }
-        let padded = buf.len() - CPCS_OVERHEAD;
-        if length > padded || padded != length.div_ceil(4) * 4 {
-            self.stats.datagrams_dropped += 1;
-            return Err(Aal34Error::LengthMismatch);
-        }
-        self.stats.datagrams_ok += 1;
-        Ok(Some(buf[4..4 + length].to_vec()))
     }
 
     fn drop_partial(&mut self) {
-        if self.partial.take().is_some() {
+        if let Some(p) = self.partial.take() {
             self.stats.datagrams_dropped += 1;
+            self.recycle(p.buf);
         }
     }
 }
@@ -515,5 +575,49 @@ mod tests {
         assert_eq!(got[0], a);
         assert_eq!(got[1], b);
         assert_eq!(reasm.stats().datagrams_ok, 2);
+    }
+
+    #[test]
+    fn recycled_buffers_carry_later_datagrams() {
+        let mut seg = Aal34Segmenter::new(0, 5, 1);
+        let mut reasm = Aal34Reassembler::new();
+        let mut reused = None;
+        // Largest first, so no later datagram outgrows the buffer.
+        for (i, n) in [9188usize, 4000, 1400, 37, 4].into_iter().enumerate() {
+            let data: Vec<u8> = (0..n).map(|j| (i * 31 + j) as u8).collect();
+            let mut out = None;
+            for cell in seg.segment(&data) {
+                if let Some(d) = reasm.push(&cell).expect("clean channel") {
+                    out = Some(d);
+                }
+            }
+            let d = out.expect("datagram completes");
+            assert_eq!(d, data, "size {n}");
+            if i > 0 {
+                assert_eq!(Some(d.as_ptr()), reused, "the spare buffer is reused");
+            }
+            reused = Some(d.as_ptr());
+            reasm.recycle(d);
+        }
+    }
+
+    #[test]
+    fn segment_with_matches_segment() {
+        let data: Vec<u8> = (0..1234u32).map(|i| (i * 7) as u8).collect();
+        let mut a = Aal34Segmenter::new(0, 9, 3);
+        let mut b = Aal34Segmenter::new(0, 9, 3);
+        let mut pdu = Vec::new();
+        for _ in 0..3 {
+            let mut cells = Vec::new();
+            b.segment_with(
+                data.len(),
+                |d| d.copy_from_slice(&data),
+                &mut pdu,
+                |c| {
+                    cells.push(c);
+                },
+            );
+            assert_eq!(cells, a.segment(&data));
+        }
     }
 }

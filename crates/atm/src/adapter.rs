@@ -177,15 +177,16 @@ impl RxFifo {
         self.cells.len()
     }
 
-    /// Drains every queued cell (the driver's interrupt service).
-    pub fn drain(&mut self) -> Vec<Cell> {
-        self.cells.drain(..).collect()
+    /// Drains every queued cell (the driver's interrupt service), in
+    /// place: the FIFO keeps its storage.
+    pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, Cell> {
+        self.cells.drain(..)
     }
 
-    /// Drains at most `n` cells.
-    pub fn drain_up_to(&mut self, n: usize) -> Vec<Cell> {
+    /// Drains at most `n` cells, in place.
+    pub fn drain_up_to(&mut self, n: usize) -> std::collections::vec_deque::Drain<'_, Cell> {
         let take = n.min(self.cells.len());
-        self.cells.drain(..take).collect()
+        self.cells.drain(..take)
     }
 }
 
@@ -294,8 +295,7 @@ mod tests {
             assert!(rx.arrive(a_cell()));
         }
         assert_eq!(rx.occupancy(), 100);
-        let drained = rx.drain();
-        assert_eq!(drained.len(), 100);
+        assert_eq!(rx.drain().len(), 100);
         assert_eq!(rx.occupancy(), 0);
         assert_eq!(rx.cells_received, 100);
         assert_eq!(rx.overflow_drops, 0);

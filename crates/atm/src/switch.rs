@@ -18,8 +18,7 @@
 //!   serialization at the port's line rate, with tail drop beyond the
 //!   queue's capacity.
 
-use std::collections::HashMap;
-
+use simkit::hash::FastMap;
 use simkit::{SimRng, SimTime};
 
 use crate::aal5::PT_END_OF_PDU;
@@ -197,9 +196,9 @@ struct TrainState {
 pub struct AtmSwitch {
     /// Configuration.
     pub config: SwitchConfig,
-    routes: HashMap<(usize, u8, u16), VcRoute>,
+    routes: FastMap<(usize, u8, u16), VcRoute>,
     ports: Vec<OutPort>,
-    trains: HashMap<(usize, u8, u16), TrainState>,
+    trains: FastMap<(usize, u8, u16), TrainState>,
     rng: SimRng,
     /// Cells forwarded.
     pub forwarded: u64,
@@ -221,9 +220,9 @@ impl AtmSwitch {
     pub fn new(n_ports: usize, config: SwitchConfig, seed: u64) -> Self {
         AtmSwitch {
             config,
-            routes: HashMap::new(),
+            routes: FastMap::default(),
             ports: vec![OutPort::default(); n_ports],
-            trains: HashMap::new(),
+            trains: FastMap::default(),
             rng: SimRng::seed_stream(seed, 0x5c),
             forwarded: 0,
             unknown_vc_drops: 0,

@@ -43,11 +43,15 @@ pub fn crc10(data: &[u8]) -> u16 {
 /// 6-bit length indicator and the 10-bit CRC into two bytes, so the
 /// CRC covers a bit count that is not a multiple of eight.
 ///
-/// Whole bytes go through byte-indexed tables, four bytes per step
-/// (slice-by-4), then one byte per step for the remainder; the
-/// trailing `nbits % 8` bits (six for a SAR cell's 46×8+6) run
-/// bit-serially. The result equals [`crc10_bits_serial`] for every
-/// input.
+/// Whole bytes go through position-indexed tables: by linearity the
+/// CRC of `n` bytes from a zero register is the XOR of
+/// `CRC10_TABLES[n - 1 - i][data[i]]`, `n` lookups that do not depend
+/// on each other. A SAR cell's 46 whole bytes are one such block.
+/// Longer inputs run in 48-byte blocks, the register carried into
+/// each block's first ten bits. The trailing `nbits % 8` bits (six
+/// for a SAR cell's 46×8+6) take one more lookup, in a table indexed
+/// by bit count.
+/// The result equals [`crc10_bits_serial`] for every input.
 ///
 /// # Panics
 ///
@@ -56,24 +60,42 @@ pub fn crc10(data: &[u8]) -> u16 {
 pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
     assert!(nbits <= data.len() * 8, "nbits out of range");
     let (whole, tail_bits) = (nbits / 8, nbits % 8);
-    let mut words = data[..whole].chunks_exact(4);
-    let mut crc: u16 = 0;
-    for word in &mut words {
-        // The register meets the word's top ten bits. By linearity
-        // each byte of the sum contributes on its own: the byte `k`
-        // places from the end leaves `CRC10_TABLES[k]`.
-        let x = (u32::from(crc) << 22) ^ u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        crc = CRC10_TABLES[3][(x >> 24) as usize]
-            ^ CRC10_TABLES[2][(x >> 16) as u8 as usize]
-            ^ CRC10_TABLES[1][(x >> 8) as u8 as usize]
-            ^ CRC10_TABLES[0][x as u8 as usize];
+    let crc = if whole <= CRC10_POSITIONS {
+        crc10_block(&data[..whole])
+    } else {
+        crc10_blocks(&data[..whole])
+    };
+    if tail_bits == 0 {
+        return crc;
     }
-    for &byte in words.remainder() {
-        let idx = ((crc >> 2) as u8 ^ byte) as usize;
-        crc = ((crc << 8) & 0x3ff) ^ CRC10_TABLES[0][idx];
-    }
-    if tail_bits > 0 {
-        crc = crc10_step_bits(crc, data[whole], tail_bits);
+    // The register's top bits meet the tail's: one lookup.
+    let n = tail_bits;
+    let x = (((crc >> (10 - n)) as u8) << (8 - n)) ^ (data[whole] & !(0xff >> n));
+    ((crc << n) & 0x3ff) ^ CRC10_TAIL[n][usize::from(x)]
+}
+
+/// The CRC-10 of at most `CRC10_POSITIONS` bytes from a zero
+/// register: one table lookup per byte, XORed together.
+fn crc10_block(bytes: &[u8]) -> u16 {
+    let tables = &CRC10_TABLES[..bytes.len()];
+    bytes
+        .iter()
+        .zip(tables.iter().rev())
+        .fold(0, |crc, (&b, table)| crc ^ table[usize::from(b)])
+}
+
+/// The CRC-10 of any number of whole bytes, in blocks of
+/// `CRC10_POSITIONS`.
+fn crc10_blocks(bytes: &[u8]) -> u16 {
+    // The short block goes first, from the zero register, so every
+    // later block is full and has room for the carried register.
+    let (head, blocks) = bytes.split_at(bytes.len() % CRC10_POSITIONS);
+    let mut crc = crc10_block(head);
+    for block in blocks.chunks_exact(CRC10_POSITIONS) {
+        // The register meets the block's first ten bits.
+        let carry = CRC10_TABLES[CRC10_POSITIONS - 1][usize::from(block[0] ^ (crc >> 2) as u8)]
+            ^ CRC10_TABLES[CRC10_POSITIONS - 2][usize::from(block[1] ^ (crc << 6) as u8)];
+        crc = carry ^ crc10_block(&block[2..]);
     }
     crc
 }
@@ -115,21 +137,39 @@ const fn crc10_step_bits(mut crc: u16, byte: u8, n: usize) -> u16 {
     crc
 }
 
+/// Bytes one position-table block covers: a whole 48-byte cell
+/// payload, so a SAR cell's 46 covered bytes are a single block.
+const CRC10_POSITIONS: usize = 48;
+
 /// `CRC10_TABLES[k][b]`: the register after byte `b` and then `k`
-/// zero bytes, from a zero register. By linearity, a register whose
-/// top eight bits are XORed with the next input byte advances by
-/// `CRC10_TABLES[0]`, and a 32-bit window by the XOR of four lookups.
-const CRC10_TABLES: [[u16; 256]; 4] = {
-    let mut tables = [[0u16; 256]; 4];
+/// zero bytes, from a zero register.
+static CRC10_TABLES: [[u16; 256]; CRC10_POSITIONS] = {
+    let mut tables = [[0u16; 256]; CRC10_POSITIONS];
     let mut i = 0;
     while i < 256 {
         tables[0][i] = crc10_step_bits(0, i as u8, 8);
         let mut k = 1;
-        while k < 4 {
+        while k < CRC10_POSITIONS {
             tables[k][i] = crc10_step_bits(tables[k - 1][i], 0, 8);
             k += 1;
         }
         i += 1;
+    }
+    tables
+};
+
+/// `CRC10_TAIL[n][v]`: the register after the top `n` bits of `v`
+/// (1 ≤ `n` ≤ 7, the low bits zero), from a zero register.
+static CRC10_TAIL: [[u16; 256]; 8] = {
+    let mut tables = [[0u16; 256]; 8];
+    let mut n = 1;
+    while n < 8 {
+        let mut v = 0;
+        while v < 256 {
+            tables[n][v] = crc10_step_bits(0, v as u8, n);
+            v += 1;
+        }
+        n += 1;
     }
     tables
 };
@@ -143,6 +183,10 @@ pub fn crc10_check(data_with_crc: &[u8]) -> bool {
 
 /// The IEEE 802.3 CRC-32 (reflected, init all-ones, final inversion).
 ///
+/// Slice-by-8: eight bytes per step through eight byte-indexed
+/// tables, then one byte per step for the remainder. The result
+/// equals [`crc32_serial`] for every input.
+///
 /// # Examples
 ///
 /// ```
@@ -153,19 +197,75 @@ pub fn crc10_check(data_with_crc: &[u8]) -> bool {
 /// ```
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = 0xffff_ffff;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= 0xedb8_8320;
-            }
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
+
+/// The bit-serial CRC-32: eight shifts per byte. It defines the CRC
+/// that [`crc32`] computes from tables and is kept as the oracle its
+/// differential tests compare against.
+#[must_use]
+pub fn crc32_serial(data: &[u8]) -> u32 {
+    let mut crc: u32 = 0xffff_ffff;
+    for &byte in data {
+        crc = crc32_step_byte(crc ^ u32::from(byte));
+    }
+    !crc
+}
+
+/// Shifts eight bits out of the reflected CRC-32 register.
+const fn crc32_step_byte(mut crc: u32) -> u32 {
+    let mut i = 0;
+    while i < 8 {
+        let lsb = crc & 1;
+        crc >>= 1;
+        if lsb != 0 {
+            crc ^= 0xedb8_8320;
+        }
+        i += 1;
+    }
+    crc
+}
+
+/// `CRC32_TABLES[k][b]`: the reflected register after byte `b` and
+/// then `k` zero bytes, from a zero register (slice-by-8).
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        tables[0][i] = crc32_step_byte(i as u32);
+        i += 1;
+    }
+    // Each further zero byte is one byte step of the previous table.
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 /// The ATM Header Error Control byte: CRC-8 with generator
 /// `x^8 + x^2 + x + 1` over the first four header octets, XORed with

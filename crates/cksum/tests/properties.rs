@@ -3,10 +3,10 @@
 //! These pin down the invariants the kernel integration relies on:
 //! algorithm agreement, partial-sum combination at arbitrary split
 //! points, incremental update, and error detection of the checksum as
-//! actually used on the wire. The table-driven CRC-10 is checked
-//! against its bit-serial oracle.
+//! actually used on the wire. The table-driven CRC-10 and CRC-32 are
+//! checked against their bit-serial oracles.
 
-use cksum::crc::{crc10_bits, crc10_bits_serial};
+use cksum::crc::{crc10_bits, crc10_bits_serial, crc32, crc32_serial};
 use cksum::{
     copy_and_cksum, naive_cksum, optimized_cksum, pseudo_header_sum, ultrix_cksum, PartialChecksum,
     Sum16,
@@ -137,6 +137,28 @@ proptest! {
                 "nbits {}", nbits
             );
         }
+    }
+
+    /// Every bit count of a whole cell payload: the position tables
+    /// cover up to 48 bytes in one block.
+    #[test]
+    fn crc10_table_matches_serial_within_one_block(data in any::<[u8; 48]>()) {
+        for nbits in 0..=48 * 8 {
+            prop_assert_eq!(
+                crc10_bits(&data, nbits),
+                crc10_bits_serial(&data, nbits),
+                "nbits {}", nbits
+            );
+        }
+    }
+
+    /// The slice-by-8 CRC-32 equals the bit-serial oracle on random
+    /// buffers from empty to a jumbo frame.
+    #[test]
+    fn crc32_table_matches_serial(
+        data in proptest::collection::vec(any::<u8>(), 0..9 * 1024),
+    ) {
+        prop_assert_eq!(crc32(&data), crc32_serial(&data));
     }
 
     /// An AAL3/4 SAR cell: 44 payload bytes, then the 6-bit length

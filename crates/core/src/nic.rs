@@ -18,13 +18,12 @@
 //! the mbuf chain (with stored partial checksums in the integrated
 //! configuration), and hands the datagram to the kernel's IP queue.
 
-use std::collections::HashMap;
-
 use atm::{Aal34Reassembler, Aal34Segmenter, AtmSwitch, FiberLink, ForeTca100, LinkFault, VcRoute};
 use decstation::CostModel;
 use ether::{EtherAddr, EtherFrame, EtherWire, LanceAdapter, ETHERTYPE_IP};
 use mbuf::chain::ultrix_uses_clusters;
 use mbuf::Chain;
+use simkit::hash::FastMap;
 use simkit::{CpuBand, SimTime};
 use tcpip::{Kernel, Mark, SpanKind, SpanRecorder, TxDriver};
 
@@ -54,10 +53,13 @@ pub struct Delivery {
     pub payload: DeliveryPayload,
 }
 
+/// An ATM cell train: each cell's arrival time and link fate.
+pub type Train = Vec<(SimTime, LinkFault)>;
+
 /// What arrives at the peer.
 pub enum DeliveryPayload {
     /// ATM: the cell train with per-cell arrival times and faults.
-    Cells(Vec<(SimTime, LinkFault)>),
+    Cells(Train),
     /// Ethernet: the frame bytes as delivered.
     Frame(Vec<u8>),
 }
@@ -74,7 +76,7 @@ pub struct AtmNic {
     /// The FORE TCA-100 adapter.
     pub adapter: ForeTca100,
     /// AAL3/4 segmentation state per destination IP address.
-    peers: HashMap<[u8; 4], Peer>,
+    peers: FastMap<[u8; 4], Peer>,
     /// The MTU advertised to the stack (MSS derives from it):
     /// [`ATM_MTU`] unless the topology sets another.
     pub mtu: usize,
@@ -112,7 +114,18 @@ pub struct AtmNic {
     /// allocation (`ENOBUFS` backpressure, not a crash).
     pub enobufs_drops: u64,
     rng: simkit::SimRng,
+    /// Scratch for the CPCS-PDU of the datagram being segmented.
+    pdu: Vec<u8>,
+    /// Emptied trains handed back by the world (see
+    /// [`AtmNic::recycle_train`]), reused by later transmits.
+    spare_trains: Vec<Train>,
+    /// Datagrams reassembled under the running interrupt, reused
+    /// across interrupts.
+    rx_dgrams: Vec<Vec<u8>>,
 }
+
+/// Most emptied trains an interface keeps for reuse.
+const SPARE_TRAINS: usize = 64;
 
 impl AtmNic {
     /// Builds an ATM interface over the given outbound link, with no
@@ -122,7 +135,7 @@ impl AtmNic {
         let cell_time = link.config.cell_time();
         AtmNic {
             adapter: ForeTca100::new(cell_time),
-            peers: HashMap::new(),
+            peers: FastMap::default(),
             mtu: ATM_MTU,
             reasm: Aal34Reassembler::new(),
             link,
@@ -137,6 +150,18 @@ impl AtmNic {
             contention: None,
             enobufs_drops: 0,
             rng: simkit::SimRng::seed_stream(seed, 0xc0),
+            pdu: Vec::new(),
+            spare_trains: Vec::new(),
+            rx_dgrams: Vec::new(),
+        }
+    }
+
+    /// Hands back a train whose arrival has been processed, so a
+    /// later transmit can fill it instead of allocating one.
+    pub fn recycle_train(&mut self, mut train: Train) {
+        if self.spare_trains.len() < SPARE_TRAINS {
+            train.clear();
+            self.spare_trains.push(train);
         }
     }
 
@@ -214,25 +239,33 @@ impl TxDriver for AtmNic {
     /// the staged train then carries arrival times at the far end (or
     /// at the world's shared switch input).
     fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
-        let bytes = packet.to_vec();
-        let addr = [bytes[16], bytes[17], bytes[18], bytes[19]];
+        let mut addr = [0u8; 4];
+        let _ = packet.copy_out(16, &mut addr);
         let peer = self.peers.get_mut(&addr).expect("destination installed");
         let dst = peer.dst;
-        let cells = peer.seg.segment(&bytes);
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
-        let mut train = Vec::with_capacity(cells.len());
+        let mut train = self.spare_trains.pop().unwrap_or_default();
+        train.reserve(Aal34Segmenter::cells_for(packet.len()));
         let mut last_arrival = SimTime::ZERO;
-        for cell in cells {
-            let admit = self.adapter.tx.admit(cursor, per_cell);
-            cursor = admit.copy_end;
-            let (mut arrival, mut fault) = self.link.carry_at(admit.wire_exit, cell);
-            if let Some(sw) = self.switch.as_mut() {
-                (arrival, fault) = sw.pass(0, arrival, fault, self.link.config.propagation);
-            }
-            last_arrival = last_arrival.max(arrival);
-            train.push((arrival, fault));
-        }
+        let (tx, link, switch) = (&mut self.adapter.tx, &mut self.link, &mut self.switch);
+        peer.seg.segment_with(
+            packet.len(),
+            |d| {
+                let _ = packet.copy_out(0, d);
+            },
+            &mut self.pdu,
+            |cell| {
+                let admit = tx.admit(cursor, per_cell);
+                cursor = admit.copy_end;
+                let (mut arrival, mut fault) = link.carry_at(admit.wire_exit, cell);
+                if let Some(sw) = switch.as_mut() {
+                    (arrival, fault) = sw.pass(0, arrival, fault, link.config.propagation);
+                }
+                last_arrival = last_arrival.max(arrival);
+                train.push((arrival, fault));
+            },
+        );
         if let Some(shaper) = self.shaper.as_mut() {
             shaper.shape(&mut train);
             last_arrival = train
@@ -246,7 +279,8 @@ impl TxDriver for AtmNic {
             // The datagram leaves host memory when the adapter is
             // signalled to send its last byte — the same instant
             // `TxSignalled` marks.
-            self.taps.record(simcap::TapPoint::NicDmaTx, cursor, bytes);
+            self.taps
+                .record(simcap::TapPoint::NicDmaTx, cursor, packet.to_vec());
         }
         self.staged.push(Delivery {
             dst,
@@ -275,7 +309,7 @@ pub fn atm_receive(
     // interrupt cost only when the CPU's driver work had finished.
     let continuation = kernel.cpu.busy_until() > now;
     let start = now.max(kernel.cpu.busy_until());
-    let mut datagrams = Vec::new();
+    let mut datagrams = std::mem::take(&mut nic.rx_dgrams);
     let mut cells_processed = 0usize;
     for (cell_at, fault) in train {
         let cell = match fault {
@@ -349,7 +383,7 @@ pub fn atm_receive(
     kernel.cpu.occupy(start, end, CpuBand::HardIntr);
 
     let mut softintr_at = None;
-    for mut dgram in datagrams {
+    for mut dgram in datagrams.drain(..) {
         // The §4.2.1 controller-corruption fault: bits flipped while
         // moving data from controller to host memory — after every
         // link-level CRC has been checked.
@@ -364,8 +398,11 @@ pub fn atm_receive(
                 .record(simcap::TapPoint::NicDmaRx, end, dgram.clone());
         }
         let use_clusters = ultrix_uses_clusters(dgram.len());
-        let Ok((mut chain, _)) = Chain::try_from_user_data(&kernel.pool, &dgram, use_clusters)
-        else {
+        let copied = Chain::try_from_user_data(&kernel.pool, &dgram, use_clusters);
+        // The bytes are in mbufs now (or shed): the buffer goes back
+        // to the reassembler.
+        nic.reasm.recycle(dgram);
+        let Ok((mut chain, _)) = copied else {
             // ENOBUFS: the pool is at its limit, so the driver sheds
             // the datagram instead of allocating past it — BSD's
             // receive-path backpressure. TCP retransmits.
@@ -379,6 +416,7 @@ pub fn atm_receive(
             softintr_at = Some(softintr_at.map_or(at, |t: SimTime| t.min(at)));
         }
     }
+    nic.rx_dgrams = datagrams;
     if continuation {
         // Datagrams completed by an earlier interrupt of this drain
         // are handed to IP together with ours, at the end.

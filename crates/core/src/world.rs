@@ -277,6 +277,7 @@ fn on_atm_arrival(
     if let Some(at) = atm_receive(&mut host.kernel, nic, s.now(), &train) {
         s.schedule_raw_at(at, "softintr", on_softintr_raw, h as u64);
     }
+    nic.recycle_train(train);
 }
 
 /// Ethernet frame arrival: the hardware interrupt.

@@ -17,6 +17,7 @@
 //! All raw constants are microseconds (`f64`); evaluation returns
 //! [`SimTime`].
 
+use simkit::hash::FastMap;
 use simkit::SimTime;
 
 /// A linear cost: `fixed + per_byte·bytes + per_unit·units`
@@ -476,15 +477,15 @@ pub struct CostTables {
     /// `mbuf_alloc_free_pair_us` (§2.2.1).
     pub mbuf_alloc_free_pair: SimTime,
     /// Memoized `kernel_cksum` by implementation and `(bytes, mbufs)`.
-    cksum: [std::collections::HashMap<(usize, usize), SimTime>; 3],
+    cksum: [FastMap<(usize, usize), SimTime>; 3],
     /// Memoized `mcopy_small.eval` / `mcopy_cluster.eval` by
     /// `(bytes, units)`.
-    mcopy_small: std::collections::HashMap<(usize, usize), SimTime>,
-    mcopy_cluster: std::collections::HashMap<(usize, usize), SimTime>,
+    mcopy_small: FastMap<(usize, usize), SimTime>,
+    mcopy_cluster: FastMap<(usize, usize), SimTime>,
     /// Memoized `user_rx.eval` by `(bytes, mbufs)`.
-    user_rx: std::collections::HashMap<(usize, usize), SimTime>,
+    user_rx: FastMap<(usize, usize), SimTime>,
     /// Memoized `partial_combine.eval` by `(bytes, mbufs)`.
-    partial_combine: std::collections::HashMap<(usize, usize), SimTime>,
+    partial_combine: FastMap<(usize, usize), SimTime>,
     /// Memoized PCB list-lookup cost by 1-based position.
     pcb_lookup: Vec<Option<SimTime>>,
 }

@@ -43,6 +43,9 @@ pub const CLUSTER_THRESHOLD: usize = 1024;
 #[derive(Default)]
 pub struct Chain {
     mbufs: VecDeque<Mbuf>,
+    /// Total data bytes, kept current by every operation that adds or
+    /// drops bytes, so [`Chain::len`] is O(1).
+    len: usize,
 }
 
 impl Chain {
@@ -56,6 +59,7 @@ impl Chain {
     #[must_use]
     pub fn from_mbuf(m: Mbuf) -> Self {
         let mut c = Chain::new();
+        c.len = m.len();
         c.mbufs.push_back(m);
         c
     }
@@ -144,6 +148,7 @@ impl Chain {
             }
         }
         let total = data.len();
+        chain.len = total;
         if let Some(front) = chain.mbufs.front_mut() {
             if let Some(hdr) = front.pkthdr.as_mut() {
                 hdr.len = total;
@@ -155,7 +160,8 @@ impl Chain {
     /// Total data bytes in the chain.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.mbufs.iter().map(Mbuf::len).sum()
+        debug_assert_eq!(self.len, self.mbufs.iter().map(Mbuf::len).sum::<usize>());
+        self.len
     }
 
     /// Whether the chain holds no data.
@@ -235,6 +241,7 @@ impl Chain {
         if len == 0 {
             return (out, cost);
         }
+        out.len = len;
         let mut skipped = 0usize;
         let mut remaining = len;
         for m in &self.mbufs {
@@ -281,6 +288,7 @@ impl Chain {
 
     /// Appends another chain (BSD `m_cat` without compaction).
     pub fn append(&mut self, mut other: Chain) {
+        self.len += other.len;
         self.mbufs.append(&mut other.mbufs);
     }
 
@@ -291,6 +299,7 @@ impl Chain {
     pub fn append_bytes(&mut self, pool: &MbufPool, data: &[u8], use_clusters: bool) -> OpCost {
         let mut cost = OpCost::ZERO;
         let mut remaining = data;
+        self.len += data.len();
         if let Some(last) = self.mbufs.back_mut() {
             if !last.is_shared() && last.capacity_remaining() > 0 {
                 let n = last.append_from(remaining);
@@ -320,6 +329,7 @@ impl Chain {
     #[must_use]
     pub fn trim_front(&mut self, mut n: usize) -> OpCost {
         let mut cost = OpCost::ZERO;
+        self.len -= n.min(self.len);
         while n > 0 {
             let Some(front) = self.mbufs.front_mut() else {
                 break;
@@ -340,6 +350,7 @@ impl Chain {
     /// `m_adj` with a negative count). Used to strip link-layer
     /// padding. No bytes are copied.
     pub fn trim_back_bytes(&mut self, mut n: usize) {
+        self.len -= n.min(self.len);
         while n > 0 {
             let Some(back) = self.mbufs.back_mut() else {
                 break;
@@ -361,6 +372,7 @@ impl Chain {
     pub fn prepend_header(&mut self, pool: &MbufPool, header: &[u8]) -> OpCost {
         let mut cost = OpCost::copy(header.len());
         let total = self.len() + header.len();
+        self.len = total;
         let in_place = self
             .mbufs
             .front()

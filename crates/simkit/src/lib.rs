@@ -44,6 +44,7 @@
 
 pub mod cpu;
 pub mod engine;
+pub mod hash;
 pub mod rng;
 pub mod time;
 pub mod trace;

@@ -156,16 +156,16 @@ impl DeadlineIndex {
         self.queue.first().map(|&(t, _)| t)
     }
 
-    /// Sockets with a deadline at or before `now`, in ascending
-    /// socket order.
-    fn due(&self, now: SimTime) -> Vec<SockId> {
-        let mut due: Vec<SockId> = self
-            .queue
-            .range(..=(now, SockId::MAX))
-            .map(|&(_, sock)| sock)
-            .collect();
+    /// Fills `due` with the sockets that have a deadline at or before
+    /// `now`, in ascending socket order.
+    fn due(&self, now: SimTime, due: &mut Vec<SockId>) {
+        due.clear();
+        due.extend(
+            self.queue
+                .range(..=(now, SockId::MAX))
+                .map(|&(_, sock)| sock),
+        );
         due.sort_unstable();
-        due
     }
 }
 
@@ -312,8 +312,17 @@ pub struct Kernel {
     /// Sockets the running software interrupt demultiplexed to,
     /// re-filed in `deadlines` when it ends.
     touched: Vec<SockId>,
+    /// The sockets [`Kernel::check_timers`] fires, reused across calls.
+    due: Vec<SockId>,
     udp_socks: Vec<UdpSock>,
-    ipq: VecDeque<(Chain, SimTime)>,
+    /// The IP input queue: each datagram, its enqueue time and its
+    /// push number (see [`Kernel::retime_ipq`]).
+    ipq: VecDeque<(Chain, SimTime, u64)>,
+    /// Datagrams ever pushed onto `ipq`.
+    ipq_pushes: u64,
+    /// The latest retime: its time and `ipq_pushes` when it ran.
+    /// Datagrams pushed before it enqueue no earlier than its time.
+    ipq_retime: (SimTime, u64),
     /// A software interrupt has been raised and not yet serviced.
     pub softintr_pending: bool,
     /// Earliest time the software interrupt may begin (dispatch
@@ -345,8 +354,11 @@ impl Kernel {
             sock_of_pcb: Vec::new(),
             deadlines: DeadlineIndex::default(),
             touched: Vec::new(),
+            due: Vec::new(),
             udp_socks: Vec::new(),
             ipq: VecDeque::new(),
+            ipq_pushes: 0,
+            ipq_retime: (SimTime::ZERO, 0),
             softintr_pending: false,
             ipq_ready_at: SimTime::ZERO,
             timer_wakeups: Vec::new(),
@@ -828,7 +840,8 @@ impl Kernel {
     pub fn enqueue_ip(&mut self, now: SimTime, chain: Chain) -> Option<SimTime> {
         self.stats.ipq_enqueued += 1;
         let cluster = chain.iter().any(mbuf::Mbuf::is_cluster);
-        self.ipq.push_back((chain, now));
+        self.ipq.push_back((chain, now, self.ipq_pushes));
+        self.ipq_pushes += 1;
         self.ipq_ready_at = self.ipq_ready_at.max(now + self.tables.softintr_dispatch);
         if self.softintr_pending {
             return None;
@@ -845,10 +858,23 @@ impl Kernel {
     /// ongoing FIFO drain (back-to-back datagrams): the driver hands
     /// everything to IP only when its drain loop finishes, so queued
     /// datagrams' enqueue times move to the end of the service.
+    ///
+    /// O(1): the retime is recorded, and [`Kernel::ipintr`] applies
+    /// `max(enqueue, t)` to the datagrams pushed before it. Only the
+    /// latest retime need be kept, because retime times are
+    /// monotone: each is the end of a driver service on this host's
+    /// CPU, which never runs backwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is earlier than the previous retime.
     pub fn retime_ipq(&mut self, t: SimTime) {
-        for (_, enq) in &mut self.ipq {
-            *enq = (*enq).max(t);
-        }
+        assert!(
+            t >= self.ipq_retime.0,
+            "IP queue retimed backwards: {t:?} < {:?}",
+            self.ipq_retime.0
+        );
+        self.ipq_retime = (t, self.ipq_pushes);
         self.ipq_ready_at = self.ipq_ready_at.max(t + self.tables.softintr_dispatch);
     }
 
@@ -859,7 +885,11 @@ impl Kernel {
         let mut cursor = start;
         let mut out = RxOutcome::default();
         let mut first_dgram = true;
-        while let Some((chain, enq_at)) = self.ipq.pop_front() {
+        let (retimed, before) = self.ipq_retime;
+        while let Some((chain, mut enq_at, push)) = self.ipq.pop_front() {
+            if push < before {
+                enq_at = enq_at.max(retimed);
+            }
             // The IPQ span: enqueue to the start of this drain batch
             // (the dispatch latency). Waiting behind an earlier
             // datagram's protocol processing is attributed to that
@@ -1291,10 +1321,13 @@ impl Kernel {
     pub fn check_timers(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> Option<SimTime> {
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
-        for sock in self.deadlines.due(now) {
+        let mut due = std::mem::take(&mut self.due);
+        self.deadlines.due(now, &mut due);
+        for &sock in &due {
             cursor = self.fire_timers(sock, now, cursor, drv);
             self.refile(sock);
         }
+        self.due = due;
         if cursor > start {
             self.cpu.occupy(start, cursor, CpuBand::Process);
         }
@@ -3124,5 +3157,79 @@ mod tests {
             );
             assert!(reached.tcb_edits > 0, "seed {seed:#x}: tcb_mut edits");
         }
+    }
+
+    /// The eager retime `retime_ipq` replaced: every queued
+    /// datagram's enqueue time moves at once.
+    fn retime_ipq_eager(k: &mut Kernel, t: SimTime) {
+        for (_, enq, _) in &mut k.ipq {
+            *enq = (*enq).max(t);
+        }
+        k.ipq_ready_at = k.ipq_ready_at.max(t + k.tables.softintr_dispatch);
+    }
+
+    #[test]
+    fn lazy_ipq_retime_matches_the_eager_loop() {
+        // One real data segment, delivered over and over: back-to-back
+        // trains of one to three datagrams, most of them retimed to
+        // the end of a drain that ran past their arrival, with the
+        // software interrupt sometimes deferred across trains.
+        let (mut a, _, sa, _) = pair();
+        let mut drv = CaptureDriver::new(9188);
+        let _ = a.syscall_write(SimTime::ZERO, sa, &[7u8; 300], &mut drv);
+        let segment = drv.packets.pop().expect("one segment");
+        let (_, mut lazy, _, _) = pair();
+        let (_, mut eager, _, _) = pair();
+        lazy.spans.enabled = true;
+        eager.spans.enabled = true;
+        let mut rng = simkit::SimRng::seed_stream(0x1b0, 0);
+        let mut t = SimTime::from_ms(1);
+        let mut retime_at = SimTime::ZERO;
+        let mut softintr: Option<SimTime> = None;
+        let mut moved = 0;
+        for _ in 0..400 {
+            for _ in 0..=rng.next_below(3) {
+                t += SimTime::from_ns(u64::from(rng.next_below(4000)));
+                for k in [&mut lazy, &mut eager] {
+                    let (chain, _) = Chain::from_user_data(&k.pool, &segment, false);
+                    let at = k.enqueue_ip(t, chain);
+                    softintr = softintr.or(at);
+                }
+            }
+            if rng.chance(0.7) {
+                retime_at = retime_at.max(t) + SimTime::from_ns(u64::from(rng.next_below(9000)));
+                moved += eager.ipq.iter().filter(|e| e.1 < retime_at).count();
+                lazy.retime_ipq(retime_at);
+                retime_ipq_eager(&mut eager, retime_at);
+            }
+            if let Some(at) = softintr.filter(|_| rng.chance(0.5)) {
+                let now = at.max(t);
+                let (x, y) = (lazy.ipintr(now, &mut drv), eager.ipintr(now, &mut drv));
+                assert_eq!(x.done_at, y.done_at);
+                softintr = None;
+                t = t.max(x.done_at);
+            }
+        }
+        assert!(moved > 100, "retimes moved {moved} datagrams");
+        let ipq = |k: &Kernel| -> Vec<crate::span::SpanEvent> {
+            k.spans
+                .spans()
+                .iter()
+                .filter(|s| s.kind == SpanKind::RxIpq)
+                .copied()
+                .collect()
+        };
+        assert!(ipq(&lazy).len() > 400);
+        assert_eq!(ipq(&lazy), ipq(&eager));
+        assert_eq!(lazy.spans.spans(), eager.spans.spans());
+        assert_eq!(lazy.cpu.busy_until(), eager.cpu.busy_until());
+    }
+
+    #[test]
+    #[should_panic(expected = "retimed backwards")]
+    fn ipq_retime_refuses_to_run_backwards() {
+        let (mut k, _, _, _) = pair();
+        k.retime_ipq(SimTime::from_us(5));
+        k.retime_ipq(SimTime::from_us(4));
     }
 }

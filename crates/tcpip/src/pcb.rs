@@ -17,7 +17,7 @@
 //! The table stores connection *keys*; the TCP state itself lives in
 //! [`crate::tcb::Tcb`], indexed by the id this table returns.
 
-use std::collections::HashMap;
+use simkit::hash::FastMap;
 
 use crate::config::PcbOrg;
 
@@ -125,14 +125,6 @@ pub trait PcbLookup {
     fn counters(&self) -> PcbCounters;
 }
 
-fn wildcard_scan(list: &[(PcbKey, usize)], laddr: [u8; 4], lport: u16) -> Option<usize> {
-    list.iter()
-        .find(|(k, _)| {
-            k.faddr == [0, 0, 0, 0] && k.fport == 0 && k.lport == lport && k.laddr == laddr
-        })
-        .map(|&(_, id)| id)
-}
-
 /// The optional single-entry cache sitting in front of a full
 /// search — "the most recently used PCB", one half of header
 /// prediction.
@@ -182,13 +174,203 @@ impl FrontCache {
     }
 }
 
+/// Marks a free slot in [`PcbList::slots`].
+const FREE: u32 = u32::MAX;
+
+/// Slots a compacted list starts with, at least.
+const MIN_SLOTS: usize = 16;
+
+/// A BSD PCB list in list order, with an index that finds a key's
+/// 1-based position without walking the list.
+///
+/// Entries sit in a slot array in list order with gaps: the head is
+/// the lowest occupied slot, a head insertion (or a move to the
+/// front) takes the slot below it, and a tail insertion the slot past
+/// the last one. A key → entry map finds an entry's slot, and a
+/// Fenwick tree over slot occupancy counts the entries before it. So
+/// a lookup costs O(log n) host time while it reports, and the kernel
+/// charges, the linear walk's `search_len`. When the head or tail runs
+/// out of slots, the list is re-laid into about twice its length.
+#[derive(Clone, Debug, Default)]
+struct PcbList {
+    /// Key → index into `entries`.
+    index: FastMap<PcbKey, u32>,
+    /// The PCBs, in no particular order.
+    entries: Vec<Entry>,
+    /// Slot → index into `entries`, or [`FREE`].
+    slots: Vec<u32>,
+    /// Fenwick tree (1-based) of slot occupancy.
+    occupied: Vec<u32>,
+    /// The lowest slot a head insertion has used.
+    head: usize,
+    /// One past the highest slot a tail insertion has used.
+    tail: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: PcbKey,
+    id: usize,
+    slot: u32,
+}
+
+impl PcbList {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The id of `key` and its 1-based list position.
+    fn find(&self, key: &PcbKey) -> Option<(usize, usize)> {
+        let e = *self.index.get(key)? as usize;
+        let entry = self.entries[e];
+        Some((entry.id, self.rank(entry.slot as usize)))
+    }
+
+    /// The id of `key`, without its position.
+    fn id_of(&self, key: &PcbKey) -> Option<usize> {
+        self.index.get(key).map(|&e| self.entries[e as usize].id)
+    }
+
+    fn insert_head(&mut self, key: PcbKey, id: usize) {
+        if self.head == 0 {
+            self.compact();
+        }
+        self.head -= 1;
+        self.place(key, id, self.head);
+    }
+
+    fn insert_tail(&mut self, key: PcbKey, id: usize) {
+        if self.tail == self.slots.len() {
+            self.compact();
+        }
+        self.tail += 1;
+        self.place(key, id, self.tail - 1);
+    }
+
+    fn place(&mut self, key: PcbKey, id: usize, slot: usize) {
+        let e = u32::try_from(self.entries.len()).expect("PCB count fits u32");
+        let previous = self.index.insert(key, e);
+        debug_assert!(previous.is_none(), "duplicate PCB key {key:?}");
+        self.entries.push(Entry {
+            key,
+            id,
+            slot: slot as u32,
+        });
+        self.slots[slot] = e;
+        self.add(slot, 1);
+    }
+
+    fn remove(&mut self, key: &PcbKey) -> Option<usize> {
+        let e = self.index.remove(key)? as usize;
+        let gone = self.entries.swap_remove(e);
+        self.slots[gone.slot as usize] = FREE;
+        self.add(gone.slot as usize, u32::MAX);
+        if let Some(moved) = self.entries.get(e) {
+            self.slots[moved.slot as usize] = e as u32;
+            *self.index.get_mut(&moved.key).expect("indexed") = e as u32;
+        }
+        Some(gone.id)
+    }
+
+    /// Splices `key`, found at 1-based `pos`, to the head.
+    fn move_to_front(&mut self, key: &PcbKey, pos: usize) {
+        if pos == 1 {
+            return;
+        }
+        if self.head == 0 {
+            self.compact();
+        }
+        let e = self.index[key] as usize;
+        let from = self.entries[e].slot as usize;
+        self.slots[from] = FREE;
+        self.add(from, u32::MAX);
+        self.head -= 1;
+        self.slots[self.head] = e as u32;
+        self.entries[e].slot = self.head as u32;
+        self.add(self.head, 1);
+    }
+
+    /// The entries in list order.
+    fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.slots[self.head..self.tail]
+            .iter()
+            .filter(|&&e| e != FREE)
+            .map(|&e| &self.entries[e as usize])
+    }
+
+    /// Occupied slots up to and including `slot`: the 1-based list
+    /// position of the entry there.
+    fn rank(&self, slot: usize) -> usize {
+        let mut i = slot + 1;
+        let mut n = 0u32;
+        while i > 0 {
+            n += self.occupied[i];
+            i &= i - 1;
+        }
+        n as usize
+    }
+
+    /// Adds `delta` (wrapping: `u32::MAX` is −1) to `slot`'s count.
+    fn add(&mut self, slot: usize, delta: u32) {
+        let mut i = slot + 1;
+        while i < self.occupied.len() {
+            self.occupied[i] = self.occupied[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Re-lays the list into about twice its length: a quarter of the
+    /// free slots past the tail, the rest below the head (head
+    /// insertions and moves to the front are the common growth).
+    fn compact(&mut self) {
+        let n = self.entries.len();
+        let size = (2 * n + 2).max(MIN_SLOTS);
+        let spare = size - n;
+        let start = spare - spare / 4;
+        let mut slots = vec![FREE; size];
+        for (i, e) in self.slots[self.head..self.tail]
+            .iter()
+            .filter(|&&e| e != FREE)
+            .enumerate()
+        {
+            slots[start + i] = *e;
+            self.entries[*e as usize].slot = (start + i) as u32;
+        }
+        // Linear-time Fenwick build over the new occupancy.
+        let mut occupied = vec![0u32; size + 1];
+        for i in 1..=size {
+            occupied[i] += u32::from(slots[i - 1] != FREE);
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= size {
+                occupied[parent] += occupied[i];
+            }
+        }
+        self.slots = slots;
+        self.occupied = occupied;
+        self.head = start;
+        self.tail = start + n;
+    }
+
+    /// The first listening (wildcard-foreign) PCB for `laddr:lport`
+    /// in list order. Listeners are few, so the scan is linear under
+    /// every organization, as in BSD.
+    fn wildcard(&self, laddr: [u8; 4], lport: u16) -> Option<usize> {
+        self.iter()
+            .find(|e| {
+                let k = &e.key;
+                k.faddr == [0, 0, 0, 0] && k.fport == 0 && k.lport == lport && k.laddr == laddr
+            })
+            .map(|e| e.id)
+    }
+}
+
 /// BSD's linked list, most recent creation at the head, with the
 /// optional last-PCB cache in front. With the cache on this is the
 /// paper's "single-entry cache" strategy; with it off, the measured
 /// §3 baseline.
 #[derive(Clone, Debug)]
 pub struct BsdList {
-    list: Vec<(PcbKey, usize)>,
+    list: PcbList,
     cache: FrontCache,
     counters: PcbCounters,
 }
@@ -198,11 +380,49 @@ impl BsdList {
     #[must_use]
     pub fn new(use_cache: bool) -> Self {
         BsdList {
-            list: Vec::new(),
+            list: PcbList::default(),
             cache: FrontCache::new(use_cache),
             counters: PcbCounters::default(),
         }
     }
+}
+
+/// The shared body of the list lookups: the cache probe, then the
+/// indexed search priced as the linear walk (position on a hit, the
+/// whole list on a miss). Returns the receipt and the position found.
+fn list_lookup(
+    list: &PcbList,
+    cache: &mut FrontCache,
+    counters: &mut PcbCounters,
+    key: &PcbKey,
+) -> (LookupReceipt, Option<usize>) {
+    counters.lookups += 1;
+    if let Some(id) = cache.probe(key, counters) {
+        counters.hits += 1;
+        let receipt = LookupReceipt {
+            id: Some(id),
+            cache_hit: true,
+            search_len: 0,
+            hashed: false,
+        };
+        return (receipt, None);
+    }
+    let found = list.find(key);
+    let steps = found.map_or(list.len(), |(_, pos)| pos);
+    counters.traversed += steps as u64;
+    if let Some((id, _)) = found {
+        counters.hits += 1;
+        cache.note(*key, id);
+    } else {
+        counters.misses += 1;
+    }
+    let receipt = LookupReceipt {
+        id: found.map(|(id, _)| id),
+        cache_hit: false,
+        search_len: steps,
+        hashed: false,
+    };
+    (receipt, found.map(|(_, pos)| pos))
 }
 
 impl PcbLookup for BsdList {
@@ -211,56 +431,24 @@ impl PcbLookup for BsdList {
     }
 
     fn insert_head(&mut self, key: PcbKey, id: usize) {
-        self.list.insert(0, (key, id));
+        self.list.insert_head(key, id);
     }
 
     fn insert_tail(&mut self, key: PcbKey, id: usize) {
-        self.list.push((key, id));
+        self.list.insert_tail(key, id);
     }
 
     fn remove(&mut self, key: &PcbKey) -> Option<usize> {
         self.cache.invalidate(key);
-        let pos = self.list.iter().position(|(k, _)| k == key)?;
-        Some(self.list.remove(pos).1)
+        self.list.remove(key)
     }
 
     fn lookup(&mut self, key: &PcbKey) -> LookupReceipt {
-        self.counters.lookups += 1;
-        if let Some(id) = self.cache.probe(key, &mut self.counters) {
-            self.counters.hits += 1;
-            return LookupReceipt {
-                id: Some(id),
-                cache_hit: true,
-                search_len: 0,
-                hashed: false,
-            };
-        }
-        let mut found = None;
-        let mut steps = 0;
-        for (i, (k, id)) in self.list.iter().enumerate() {
-            steps = i + 1;
-            if k == key {
-                found = Some(*id);
-                break;
-            }
-        }
-        self.counters.traversed += steps as u64;
-        if let Some(id) = found {
-            self.counters.hits += 1;
-            self.cache.note(*key, id);
-        } else {
-            self.counters.misses += 1;
-        }
-        LookupReceipt {
-            id: found,
-            cache_hit: false,
-            search_len: steps,
-            hashed: false,
-        }
+        list_lookup(&self.list, &mut self.cache, &mut self.counters, key).0
     }
 
     fn lookup_wildcard(&self, laddr: [u8; 4], lport: u16) -> Option<usize> {
-        wildcard_scan(&self.list, laddr, lport)
+        self.list.wildcard(laddr, lport)
     }
 
     fn len(&self) -> usize {
@@ -277,7 +465,7 @@ impl PcbLookup for BsdList {
 /// at the price of churn on every demultiplex.
 #[derive(Clone, Debug)]
 pub struct MtfList {
-    list: Vec<(PcbKey, usize)>,
+    list: PcbList,
     cache: FrontCache,
     counters: PcbCounters,
 }
@@ -287,7 +475,7 @@ impl MtfList {
     #[must_use]
     pub fn new(use_cache: bool) -> Self {
         MtfList {
-            list: Vec::new(),
+            list: PcbList::default(),
             cache: FrontCache::new(use_cache),
             counters: PcbCounters::default(),
         }
@@ -300,66 +488,29 @@ impl PcbLookup for MtfList {
     }
 
     fn insert_head(&mut self, key: PcbKey, id: usize) {
-        self.list.insert(0, (key, id));
+        self.list.insert_head(key, id);
     }
 
     fn insert_tail(&mut self, key: PcbKey, id: usize) {
-        self.list.push((key, id));
+        self.list.insert_tail(key, id);
     }
 
     fn remove(&mut self, key: &PcbKey) -> Option<usize> {
         self.cache.invalidate(key);
-        let pos = self.list.iter().position(|(k, _)| k == key)?;
-        Some(self.list.remove(pos).1)
+        self.list.remove(key)
     }
 
     fn lookup(&mut self, key: &PcbKey) -> LookupReceipt {
-        self.counters.lookups += 1;
-        if let Some(id) = self.cache.probe(key, &mut self.counters) {
-            self.counters.hits += 1;
-            return LookupReceipt {
-                id: Some(id),
-                cache_hit: true,
-                search_len: 0,
-                hashed: false,
-            };
+        let (receipt, pos) = list_lookup(&self.list, &mut self.cache, &mut self.counters, key);
+        if let Some(pos) = pos {
+            // The splice that gives the strategy its name.
+            self.list.move_to_front(key, pos);
         }
-        let mut found = None;
-        let mut steps = 0;
-        for (i, (k, id)) in self.list.iter().enumerate() {
-            steps = i + 1;
-            if k == key {
-                found = Some((i, *id));
-                break;
-            }
-        }
-        self.counters.traversed += steps as u64;
-        let id = match found {
-            Some((pos, id)) => {
-                // The splice that gives the strategy its name.
-                if pos > 0 {
-                    let e = self.list.remove(pos);
-                    self.list.insert(0, e);
-                }
-                self.counters.hits += 1;
-                self.cache.note(*key, id);
-                Some(id)
-            }
-            None => {
-                self.counters.misses += 1;
-                None
-            }
-        };
-        LookupReceipt {
-            id,
-            cache_hit: false,
-            search_len: steps,
-            hashed: false,
-        }
+        receipt
     }
 
     fn lookup_wildcard(&self, laddr: [u8; 4], lport: u16) -> Option<usize> {
-        wildcard_scan(&self.list, laddr, lport)
+        self.list.wildcard(laddr, lport)
     }
 
     fn len(&self) -> usize {
@@ -372,12 +523,12 @@ impl PcbLookup for MtfList {
 }
 
 /// The hash table the paper suggests "could eliminate the lookup
-/// problem entirely". A parallel insertion-ordered list is kept for
-/// wildcard scans (and to keep removal/iteration deterministic).
+/// problem entirely". The list order is kept for wildcard scans (and
+/// to keep removal and iteration deterministic); the lookup itself is
+/// one probe of the key index.
 #[derive(Clone, Debug)]
 pub struct HashTable {
-    list: Vec<(PcbKey, usize)>,
-    hash: HashMap<PcbKey, usize>,
+    list: PcbList,
     cache: FrontCache,
     counters: PcbCounters,
 }
@@ -387,8 +538,7 @@ impl HashTable {
     #[must_use]
     pub fn new(use_cache: bool) -> Self {
         HashTable {
-            list: Vec::new(),
-            hash: HashMap::new(),
+            list: PcbList::default(),
             cache: FrontCache::new(use_cache),
             counters: PcbCounters::default(),
         }
@@ -401,20 +551,16 @@ impl PcbLookup for HashTable {
     }
 
     fn insert_head(&mut self, key: PcbKey, id: usize) {
-        self.list.insert(0, (key, id));
-        self.hash.insert(key, id);
+        self.list.insert_head(key, id);
     }
 
     fn insert_tail(&mut self, key: PcbKey, id: usize) {
-        self.list.push((key, id));
-        self.hash.insert(key, id);
+        self.list.insert_tail(key, id);
     }
 
     fn remove(&mut self, key: &PcbKey) -> Option<usize> {
         self.cache.invalidate(key);
-        self.hash.remove(key);
-        let pos = self.list.iter().position(|(k, _)| k == key)?;
-        Some(self.list.remove(pos).1)
+        self.list.remove(key)
     }
 
     fn lookup(&mut self, key: &PcbKey) -> LookupReceipt {
@@ -429,7 +575,7 @@ impl PcbLookup for HashTable {
             };
         }
         self.counters.hash_probes += 1;
-        let id = self.hash.get(key).copied();
+        let id = self.list.id_of(key);
         match id {
             Some(found) => {
                 self.counters.hits += 1;
@@ -446,7 +592,7 @@ impl PcbLookup for HashTable {
     }
 
     fn lookup_wildcard(&self, laddr: [u8; 4], lport: u16) -> Option<usize> {
-        wildcard_scan(&self.list, laddr, lport)
+        self.list.wildcard(laddr, lport)
     }
 
     fn len(&self) -> usize {
@@ -764,6 +910,146 @@ mod tests {
             let ids: Vec<_> = tables.iter_mut().map(|t| t.lookup(&probe).id).collect();
             assert_eq!(ids[0], ids[1]);
             assert_eq!(ids[1], ids[2]);
+        }
+    }
+
+    /// The list strategies as they were before the index: a `Vec` in
+    /// list order, walked front to back. The oracle of the property
+    /// test below.
+    struct LinearList {
+        list: Vec<(PcbKey, usize)>,
+        mtf: bool,
+        cache: FrontCache,
+        counters: PcbCounters,
+    }
+
+    impl LinearList {
+        fn lookup(&mut self, key: &PcbKey) -> LookupReceipt {
+            self.counters.lookups += 1;
+            if let Some(id) = self.cache.probe(key, &mut self.counters) {
+                self.counters.hits += 1;
+                return LookupReceipt {
+                    id: Some(id),
+                    cache_hit: true,
+                    search_len: 0,
+                    hashed: false,
+                };
+            }
+            let mut found = None;
+            let mut steps = 0;
+            for (i, (k, id)) in self.list.iter().enumerate() {
+                steps = i + 1;
+                if k == key {
+                    found = Some((i, *id));
+                    break;
+                }
+            }
+            self.counters.traversed += steps as u64;
+            if let Some((pos, id)) = found {
+                if self.mtf && pos > 0 {
+                    let e = self.list.remove(pos);
+                    self.list.insert(0, e);
+                }
+                self.counters.hits += 1;
+                self.cache.note(*key, id);
+            } else {
+                self.counters.misses += 1;
+            }
+            LookupReceipt {
+                id: found.map(|(_, id)| id),
+                cache_hit: false,
+                search_len: steps,
+                hashed: false,
+            }
+        }
+
+        fn remove(&mut self, key: &PcbKey) -> Option<usize> {
+            self.cache.invalidate(key);
+            let pos = self.list.iter().position(|(k, _)| k == key)?;
+            Some(self.list.remove(pos).1)
+        }
+
+        fn wildcard(&self, laddr: [u8; 4], lport: u16) -> Option<usize> {
+            self.list
+                .iter()
+                .find(|(k, _)| {
+                    k.faddr == [0, 0, 0, 0] && k.fport == 0 && k.lport == lport && k.laddr == laddr
+                })
+                .map(|&(_, id)| id)
+        }
+    }
+
+    /// A small key universe, listeners included, so random sequences
+    /// reinsert, remove and miss the same keys.
+    fn universe(k: u8) -> PcbKey {
+        let listener = k.is_multiple_of(8);
+        PcbKey {
+            laddr: [10, 0, 0, k % 3],
+            lport: 4000 + u16::from(k % 5),
+            faddr: if listener { [0; 4] } else { [10, 0, 1, k] },
+            fport: if listener { 0 } else { 5000 + u16::from(k) },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The indexed list and MTF strategies return the linear walk's
+        /// receipt, counters, length and wildcard result after every
+        /// operation, with and without the cache, across compactions.
+        #[test]
+        fn indexed_lists_match_the_linear_walk(
+            ops in proptest::collection::vec((0u8..5, 0u8..96), 1..600),
+            mtf in proptest::prelude::any::<bool>(),
+            use_cache in proptest::prelude::any::<bool>(),
+        ) {
+            let mut oracle = LinearList {
+                list: Vec::new(),
+                mtf,
+                cache: FrontCache::new(use_cache),
+                counters: PcbCounters::default(),
+            };
+            let mut table: Box<dyn PcbLookup> = if mtf {
+                Box::new(MtfList::new(use_cache))
+            } else {
+                Box::new(BsdList::new(use_cache))
+            };
+            let mut next_id = 0;
+            for (op, k) in ops {
+                let key = universe(k);
+                let live = oracle.list.iter().any(|(lk, _)| *lk == key);
+                match op {
+                    0 | 1 if !live => {
+                        if op == 0 {
+                            table.insert_head(key, next_id);
+                            oracle.list.insert(0, (key, next_id));
+                        } else {
+                            table.insert_tail(key, next_id);
+                            oracle.list.push((key, next_id));
+                        }
+                        next_id += 1;
+                    }
+                    2 => proptest::prop_assert_eq!(table.remove(&key), oracle.remove(&key)),
+                    3 => proptest::prop_assert_eq!(
+                        table.lookup_wildcard(key.laddr, key.lport),
+                        oracle.wildcard(key.laddr, key.lport)
+                    ),
+                    _ => proptest::prop_assert_eq!(table.lookup(&key), oracle.lookup(&key)),
+                }
+                proptest::prop_assert_eq!(table.counters(), oracle.counters);
+                proptest::prop_assert_eq!(table.len(), oracle.list.len());
+            }
+            // Finally every live key, in list order: on the plain list
+            // its position is its place in the oracle's `Vec`.
+            for (pos, (key, id)) in oracle.list.clone().iter().enumerate() {
+                let r = table.lookup(key);
+                let o = oracle.lookup(key);
+                proptest::prop_assert_eq!(r, o);
+                if !use_cache && !mtf {
+                    proptest::prop_assert_eq!(r.search_len, pos + 1);
+                    proptest::prop_assert_eq!(r.id, Some(*id));
+                }
+            }
         }
     }
 }

@@ -18,7 +18,7 @@
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
 use latency_core::hedge::MitigationCost;
-use latency_core::nic::{AtmNic, Delivery, DeliveryPayload};
+use latency_core::nic::{AtmNic, Delivery, DeliveryPayload, Train};
 use latency_core::world::TcpTimer;
 use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
@@ -209,6 +209,19 @@ pub struct DcWorld {
     live_clients: usize,
     /// The world seed; churn think-time draws derive from it.
     seed: u64,
+    /// Cell trains between the shared switch and their destination's
+    /// interrupt, indexed by the payload of their arrival event.
+    in_flight: Vec<InFlight>,
+    /// Free slots of `in_flight`.
+    free_slots: Vec<u32>,
+}
+
+/// A train past the shared switch, waiting for its last cell to reach
+/// the destination adapter.
+struct InFlight {
+    src: usize,
+    dst: usize,
+    train: Train,
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
@@ -470,6 +483,8 @@ impl DcWorld {
             switch,
             live_clients,
             seed,
+            in_flight: Vec::new(),
+            free_slots: Vec::new(),
         }
     }
 
@@ -791,7 +806,9 @@ fn on_timer_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
 /// destination's downlink — and (re)arms the TCP timer after any
 /// kernel interaction on host `h`.
 fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    for Delivery { dst, payload, .. } in std::mem::take(&mut w.hosts[h].nic.staged) {
+    // Drained out of the NIC and put back, so its storage is reused.
+    let mut staged = std::mem::take(&mut w.hosts[h].nic.staged);
+    for Delivery { dst, payload, .. } in staged.drain(..) {
         let DeliveryPayload::Cells(mut train) = payload else {
             unreachable!("datacenter hosts stage cell trains")
         };
@@ -808,32 +825,44 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
         // is the recovery path. Otherwise the hardware interrupt
         // fires when the train's last cell reaches the destination
         // adapter.
-        if let Some(last) = last {
-            s.schedule_at(last.max(s.now()), "dc-arrival", move |w, s| {
-                on_dc_arrival(w, s, h, dst, train)
-            });
-        }
+        let Some(last) = last else {
+            w.hosts[h].nic.recycle_train(train);
+            continue;
+        };
+        let arrival = InFlight { src: h, dst, train };
+        let slot = match w.free_slots.pop() {
+            Some(slot) => {
+                w.in_flight[slot as usize] = arrival;
+                slot
+            }
+            None => {
+                w.in_flight.push(arrival);
+                (w.in_flight.len() - 1) as u32
+            }
+        };
+        s.schedule_raw_at(
+            last.max(s.now()),
+            "dc-arrival",
+            on_dc_arrival_raw,
+            u64::from(slot),
+        );
     }
+    w.hosts[h].nic.staged = staged;
     let host = &mut w.hosts[h];
     host.timer.rearm(&host.kernel, s);
 }
 
-/// ATM datagram arrival at host `h` from host `src`: the hardware
-/// interrupt.
-fn on_dc_arrival(
-    w: &mut DcWorld,
-    s: &mut Scheduler<DcWorld>,
-    src: usize,
-    h: usize,
-    train: Vec<(SimTime, LinkFault)>,
-) {
+/// ATM datagram arrival: the hardware interrupt of the train in
+/// `in_flight` slot `slot`.
+fn on_dc_arrival_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, slot: u64) {
+    let InFlight { src, dst: h, .. } = w.in_flight[slot as usize];
     // A paused host's adapter holds the interrupt until it resumes.
     if let Some(resume) = paused_until(w, h, s.now()) {
-        s.schedule_at(resume, "dc-paused-arrival", move |w, s| {
-            on_dc_arrival(w, s, src, h, train)
-        });
+        s.schedule_raw_at(resume, "dc-paused-arrival", on_dc_arrival_raw, slot);
         return;
     }
+    let train = std::mem::take(&mut w.in_flight[slot as usize].train);
+    w.free_slots.push(slot as u32);
     // Fan-out landing stamp: on a fan-out client, connection `c`
     // talks exclusively to server `clients + h*span + c` (the
     // client's private server block, primaries then replicas), so the
@@ -853,6 +882,7 @@ fn on_dc_arrival(
     {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
+    host.nic.recycle_train(train);
 }
 
 /// The software interrupt: IP/TCP input, wakeups, responses.

@@ -125,7 +125,7 @@ pub struct AtmNic {
 }
 
 /// Most emptied trains an interface keeps for reuse.
-const SPARE_TRAINS: usize = 64;
+const SPARE_TRAINS: usize = 4;
 
 impl AtmNic {
     /// Builds an ATM interface over the given outbound link, with no
@@ -159,7 +159,7 @@ impl AtmNic {
     /// Hands back a train whose arrival has been processed, so a
     /// later transmit can fill it instead of allocating one.
     pub fn recycle_train(&mut self, mut train: Train) {
-        if self.spare_trains.len() < SPARE_TRAINS {
+        if train.capacity() > 0 && self.spare_trains.len() < SPARE_TRAINS {
             train.clear();
             self.spare_trains.push(train);
         }

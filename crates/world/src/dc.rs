@@ -193,6 +193,9 @@ pub struct DcHost {
     /// every event targeting this host while it is paused is deferred
     /// to the window's end, modeling a GC or scheduler stall.
     pause: Option<faultkit::PauseSchedule>,
+    /// The request a client connection is writing, reused across
+    /// writes.
+    request: Vec<u8>,
 }
 
 /// The datacenter world.
@@ -210,7 +213,8 @@ pub struct DcWorld {
     /// The world seed; churn think-time draws derive from it.
     seed: u64,
     /// Cell trains between the shared switch and their destination's
-    /// interrupt, indexed by the payload of their arrival event.
+    /// interrupt, indexed by the payload of their arrival event. A
+    /// free slot keeps its emptied train for the next one to swap.
     in_flight: Vec<InFlight>,
     /// Free slots of `in_flight`.
     free_slots: Vec<u32>,
@@ -234,11 +238,17 @@ const _: () = simkit::assert_world_send::<DcWorld>();
 /// passing silently.
 #[must_use]
 pub fn dc_pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
+    pattern_bytes(size, iter, ident).collect()
+}
+
+/// The bytes of [`dc_pattern`], one at a time: the hot path writes
+/// and verifies them without allocating.
+fn pattern_bytes(size: usize, iter: u64, ident: (usize, usize)) -> impl Iterator<Item = u8> {
     let salt = iter
         .wrapping_mul(131)
         .wrapping_add(ident.0 as u64 * 17)
         .wrapping_add(ident.1 as u64 * 7);
-    (0..size).map(|i| ((i as u64 + salt) % 251) as u8).collect()
+    (0..size).map(move |i| ((i as u64 + salt) % 251) as u8)
 }
 
 /// Seed for host `h`, derived by key so every host has an independent
@@ -336,6 +346,7 @@ impl DcWorld {
                 timer: TcpTimer::default(),
                 fanout,
                 pause,
+                request: Vec::new(),
             });
         }
 
@@ -832,7 +843,9 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
         let arrival = InFlight { src: h, dst, train };
         let slot = match w.free_slots.pop() {
             Some(slot) => {
-                w.in_flight[slot as usize] = arrival;
+                // The slot's emptied train refills the sender's spares.
+                let spare = std::mem::replace(&mut w.in_flight[slot as usize], arrival).train;
+                w.hosts[h].nic.recycle_train(spare);
                 slot
             }
             None => {
@@ -861,7 +874,6 @@ fn on_dc_arrival_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, slot: u64) {
         s.schedule_raw_at(resume, "dc-paused-arrival", on_dc_arrival_raw, slot);
         return;
     }
-    let train = std::mem::take(&mut w.in_flight[slot as usize].train);
     w.free_slots.push(slot as u32);
     // Fan-out landing stamp: on a fan-out client, connection `c`
     // talks exclusively to server `clients + h*span + c` (the
@@ -877,12 +889,13 @@ fn on_dc_arrival_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, slot: u64) {
         }
     }
     let host = &mut w.hosts[h];
+    let train = &mut w.in_flight[slot as usize].train;
     if let Some(at) =
-        latency_core::nic::atm_receive(&mut host.kernel, &mut host.nic, s.now(), &train)
+        latency_core::nic::atm_receive(&mut host.kernel, &mut host.nic, s.now(), train)
     {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
-    host.nic.recycle_train(train);
+    train.clear();
 }
 
 /// The software interrupt: IP/TCP input, wakeups, responses.
@@ -995,25 +1008,36 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     finish_client(w, h, c);
                     break;
                 }
-                let data = if conn.client {
+                if conn.client {
                     // `sent` equals `done_count` on classic paths and
                     // indexes past any retried copies on mitigated
                     // ones, so every message on the stream carries a
                     // distinct pattern.
-                    dc_pattern(size, conn.sent, conn.ident)
-                } else {
-                    // The server echoes what it received.
-                    conn.got.clone()
-                };
+                    host.request.clear();
+                    host.request
+                        .extend(pattern_bytes(size, conn.sent, conn.ident));
+                }
                 if offset == 0 && conn.client {
                     // Start the iteration timer: read the clock just
                     // before write(), as the benchmark did.
                     conn.t_start = now.max(host.kernel.cpu.busy_until()).quantized();
                 }
-                let sock = conn.sock;
                 let out = {
-                    let DcHost { kernel, nic, .. } = host;
-                    kernel.syscall_write(now, sock, &data[offset..], nic)
+                    let DcHost {
+                        kernel,
+                        nic,
+                        conns,
+                        request,
+                        ..
+                    } = host;
+                    let conn = &conns[c];
+                    // The server echoes what it received.
+                    let data = if conn.client {
+                        &request[..]
+                    } else {
+                        &conn.got[..]
+                    };
+                    kernel.syscall_write(now, conn.sock, &data[offset..], nic)
                 };
                 flush_dc(w, s, h);
                 let conn = &mut w.hosts[h].conns[c];
@@ -1073,8 +1097,12 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 } else {
                     conn.done_count
                 };
-                let expect = dc_pattern(size, idx, conn.ident);
-                if conn.got != expect {
+                if !conn
+                    .got
+                    .iter()
+                    .copied()
+                    .eq(pattern_bytes(size, idx, conn.ident))
+                {
                     conn.verify_failures += 1;
                 }
                 if !conn.client {

@@ -220,6 +220,9 @@ pub struct DcWorld {
     free_slots: Vec<u32>,
 }
 
+/// Most emptied trains the in-flight slab keeps for reuse.
+const KEPT_TRAINS: usize = 64;
+
 /// A train past the shared switch, waiting for its last cell to reach
 /// the destination adapter.
 struct InFlight {
@@ -895,7 +898,13 @@ fn on_dc_arrival_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, slot: u64) {
     {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
-    train.clear();
+    // Keep a bounded stock of emptied trains: past it, a burst's
+    // trains go back to the allocator rather than pin their storage.
+    if w.free_slots.len() <= KEPT_TRAINS {
+        train.clear();
+    } else {
+        *train = Train::new();
+    }
 }
 
 /// The software interrupt: IP/TCP input, wakeups, responses.

@@ -201,9 +201,10 @@ struct PcbList {
     slots: Vec<u32>,
     /// Fenwick tree (1-based) of slot occupancy.
     occupied: Vec<u32>,
-    /// The lowest slot a head insertion has used.
+    /// The list's first slot since the last compaction (it may have
+    /// been freed since); head insertions take the slot below it.
     head: usize,
-    /// One past the highest slot a tail insertion has used.
+    /// One past the list's last slot; tail insertions take it.
     tail: usize,
 }
 

@@ -44,6 +44,7 @@ use latency_core::experiment::{Experiment, NetKind};
 use latency_core::{faults, micro, paper, tables};
 use report::Report;
 use sweep::grid::Variant;
+use sweep::report::json_string;
 use sweep::{Sweep, SweepResults};
 
 /// Command-line options. The scale/fan-out/seed/output flags are
@@ -64,7 +65,8 @@ struct Opts {
     out_dir: String,
     bless: bool,
     /// `verify --dump-live`: also write each grid's live canonical
-    /// JSON under `--out-dir`, for byte-level comparison in tests/CI.
+    /// JSON (and each world study's table text) under `--out-dir`,
+    /// for byte-level comparison in tests/CI.
     dump_live: bool,
     golden_dir: String,
     /// Record study completions in mergeable-sketch mode instead of
@@ -1126,27 +1128,39 @@ fn cmd_verify(opts: &Opts) -> i32 {
                 q.jobs
             );
         };
-        let (cells, live_json, sweep_live) = match grid {
+        // A study's table is dumped next to its JSON, from the same run.
+        let (cells, live_json, live_table, sweep_live) = match grid {
             GoldenGrid::Sweep(sw) => {
                 running(sw.len());
                 let live = sw.run(q.jobs);
-                (live.outcomes.len(), live.canonical_json(), Some(live))
+                (live.outcomes.len(), live.canonical_json(), None, Some(live))
             }
             GoldenGrid::Study(study) => {
                 let grid = study.grid(true);
                 running(grid.len());
                 let results = world::run_dc_cells(&grid, q.jobs);
-                (grid.len(), study.report_json(&name, &grid, &results), None)
+                let json = study.report_json(&name, &grid, &results);
+                let table = study.table(&grid, &results);
+                (grid.len(), json, Some(table), None)
             }
         };
         if q.dump_live {
             let p = out_path(opts, &format!("{name}_live.json"));
             std::fs::write(&p, &live_json).expect("write live canonical json");
             eprintln!("verify: live canonical grid written to {}", p.display());
+            if let Some(table) = &live_table {
+                let p = out_path(opts, &format!("{name}_live.txt"));
+                std::fs::write(&p, table).expect("write live table");
+                eprintln!("verify: live table written to {}", p.display());
+            }
         }
         let Some(golden) = golden else {
             std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
             std::fs::write(&path, &live_json).expect("write golden file");
+            if let Some(table) = &live_table {
+                let p = format!("{}/{name}.txt", q.golden_dir);
+                std::fs::write(p, table).expect("write golden table");
+            }
             eprintln!("verify: blessed {cells} cell(s) into {path}");
             summary.push((name, cells, 0));
             continue;
@@ -1174,7 +1188,8 @@ fn cmd_verify(opts: &Opts) -> i32 {
         let grids: Vec<String> = summary
             .iter()
             .map(|(name, cells, drifts)| {
-                format!("    {{\"grid\": \"{name}\", \"cells\": {cells}, \"drifts\": {drifts}}}")
+                let name = json_string(name);
+                format!("    {{\"grid\": {name}, \"cells\": {cells}, \"drifts\": {drifts}}}")
             })
             .collect();
         let json = format!(
@@ -1308,7 +1323,7 @@ fn cmd_invariants(opts: &Opts) -> i32 {
     // deadlines) shapes completion before topology even matters.
     {
         let mut topo = world::Topology::fanout(4, 16);
-        topo.tail = world::mitigation_policy(latency_core::hedge::Mitigation::Hedge, 16);
+        topo.tail = world::mitigation_policy(world::Mitigation::Hedge, 16);
         match oracle::predict_dc(&topo) {
             Err(oracle::PredictError::MitigatedWorld { .. }) => {
                 eprintln!(
@@ -1351,7 +1366,8 @@ fn cmd_invariants(opts: &Opts) -> i32 {
             eprintln!("invariants: {name}: capture comparison skipped ({msg})");
         }
         rows.push(format!(
-            "    {{\"cell\": \"{name}\", \"clean\": {}, \"events_checked\": {}, \"violations\": {}}}",
+            "    {{\"cell\": {}, \"clean\": {}, \"events_checked\": {}, \"violations\": {}}}",
+            json_string(&name),
             rep.is_clean(),
             rep.events_checked,
             rep.violations.len()

@@ -2,11 +2,14 @@
 //!
 //! Every table the binary prints is also recorded here as measured
 //! series paired with the paper's values, and can be dumped as JSON
-//! (used to generate `EXPERIMENTS.md`). The JSON is emitted by hand —
-//! the build must work with no registry access, so no serde.
+//! (used to generate `EXPERIMENTS.md`). The JSON is emitted by hand
+//! through `sweep::report`'s encoders — the build must work with no
+//! registry access, so no serde.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use sweep::report::{json_num, json_string};
 
 /// One measured series against the paper's.
 pub struct Series {
@@ -151,7 +154,7 @@ fn emit_map<V>(out: &mut String, map: &BTreeMap<String, V>, mut emit: impl FnMut
 
 fn emit_num_array(out: &mut String, name: &str, xs: &[f64], indent: usize) {
     let pad = " ".repeat(indent);
-    let _ = write!(out, "{pad}\"{name}\": [");
+    let _ = write!(out, "{pad}{}: [", json_string(name));
     for (i, x) in xs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -159,41 +162,6 @@ fn emit_num_array(out: &mut String, name: &str, xs: &[f64], indent: usize) {
         out.push_str(&json_num(*x));
     }
     out.push(']');
-}
-
-/// Finite-number JSON rendering; NaN/inf become null (like serde_json).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        // Shortest representation that round-trips.
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

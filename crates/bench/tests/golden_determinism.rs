@@ -9,7 +9,11 @@
 //!   the blessed goldens at both worker counts (and therefore
 //!   byte-identical between them). The comparator alone allows
 //!   0.05 µs, so only this check catches a formatting slip in the
-//!   canonical writers.
+//!   canonical writers;
+//! - the printed table of each world study is byte-identical to its
+//!   blessed `<study>_quick.txt` at both worker counts. No JSON field
+//!   pins the table layout, so this is what catches a drift in the
+//!   stdout a study prints.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -46,10 +50,11 @@ fn goldens_byte_identical_at_one_and_four_workers() {
             .status()
             .expect("run repro");
         assert!(st.success(), "verify --jobs {jobs} failed: {st:?}");
-        // Stronger than the comparator: the live canonical JSON must
-        // match the blessed bytes exactly, at every worker count.
-        // (live dump, golden): the dump is named after the report,
-        // the `Sweep` goldens carry their scale in the file name.
+        // Stronger than the comparator: the live canonical JSON and
+        // the study tables must match the blessed bytes exactly, at
+        // every worker count. (live dump, golden): the dump is named
+        // after the report, the `Sweep` goldens carry their scale in
+        // the file name.
         let pairs = [
             ("tables_live.json", "tables_quick.json"),
             ("faults_live.json", "faults_quick.json"),
@@ -57,6 +62,10 @@ fn goldens_byte_identical_at_one_and_four_workers() {
             ("tails_quick_live.json", "tails_quick.json"),
             ("hedge_quick_live.json", "hedge_quick.json"),
             ("cc_quick_live.json", "cc_quick.json"),
+            ("dc_quick_live.txt", "dc_quick.txt"),
+            ("tails_quick_live.txt", "tails_quick.txt"),
+            ("hedge_quick_live.txt", "hedge_quick.txt"),
+            ("cc_quick_live.txt", "cc_quick.txt"),
         ];
         for (dump, golden) in pairs {
             let live = std::fs::read(out.join(dump)).expect("read live dump");

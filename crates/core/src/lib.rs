@@ -48,7 +48,6 @@ pub mod capture;
 pub mod churn;
 pub mod experiment;
 pub mod faults;
-pub mod hedge;
 pub mod micro;
 pub mod nic;
 pub mod obs;
@@ -56,7 +55,6 @@ pub mod paper;
 pub mod recovery;
 pub mod stats;
 pub mod tables;
-pub mod tails;
 pub mod world;
 
 pub use breakdown::{compute_breakdown_samples, RxBreakdown, TxBreakdown};

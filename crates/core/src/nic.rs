@@ -481,14 +481,6 @@ impl EtherNic {
             rng: simkit::SimRng::seed_stream(seed, 0xe1),
         }
     }
-
-    /// Arms the Ethernet-relevant parts of a fault schedule: burst
-    /// frame loss on the outbound wire.
-    pub fn arm_faults(&mut self, faults: &faultkit::FaultSchedule, seed: u64) {
-        if let Some(model) = faults.ether_loss {
-            self.wire.arm_burst_loss(model, seed);
-        }
-    }
 }
 
 impl TxDriver for EtherNic {
@@ -533,16 +525,11 @@ impl TxDriver for EtherNic {
         self.lance.tx_complete(delivered_at);
         spans.span(SpanKind::TxDriver, now, cursor);
         spans.mark(Mark::TxSignalled, cursor);
-        if let Some(bytes) = delivered {
-            self.staged.push(Delivery {
-                dst: usize::from(self.peer_host),
-                arrival: delivered_at,
-                payload: DeliveryPayload::Frame(bytes),
-            });
-        }
-        // A burst-lost frame stages no delivery: the wire time is
-        // consumed but nothing arrives; TCP's retransmit timer is the
-        // recovery path.
+        self.staged.push(Delivery {
+            dst: usize::from(self.peer_host),
+            arrival: delivered_at,
+            payload: DeliveryPayload::Frame(delivered),
+        });
         cursor
     }
 }

@@ -52,12 +52,6 @@ pub struct EtherWire {
     pub frames_carried: u64,
     /// Frames delivered corrupted.
     pub frames_corrupted: u64,
-    /// Frames dropped by the burst-loss process.
-    pub frames_lost: u64,
-    /// Optional Gilbert–Elliott burst-loss process (faultkit): whole
-    /// frames vanish in bursts, the LANCE-era analogue of ATM cell
-    /// loss. When absent the wire behaves exactly as before.
-    pub burst: Option<faultkit::LossProcess>,
     /// Raw-frame capture tap (`LinkFrame`): every delivered frame
     /// (FCS included, corruption applied), stamped at its delivery
     /// time. Zero-cost unless armed.
@@ -74,32 +68,17 @@ impl EtherWire {
             rng: SimRng::seed_stream(seed, 0xe0),
             frames_carried: 0,
             frames_corrupted: 0,
-            frames_lost: 0,
-            burst: None,
             taps: simcap::TapSet::off(),
         }
     }
 
-    /// Arms a deterministic burst-loss process on this direction.
-    pub fn arm_burst_loss(&mut self, model: faultkit::GilbertElliott, seed: u64) {
-        self.burst = Some(faultkit::LossProcess::new(model, seed));
-    }
-
     /// Transmits a frame whose bytes are `wire` starting no earlier
-    /// than `ready`. Returns `(delivery_time, bytes_as_delivered)`;
-    /// the bytes are `None` when the burst-loss process dropped the
-    /// frame in flight (the wire time is still consumed).
-    pub fn carry(&mut self, ready: SimTime, mut wire: Vec<u8>) -> (SimTime, Option<Vec<u8>>) {
+    /// than `ready`. Returns `(delivery_time, bytes_as_delivered)`.
+    pub fn carry(&mut self, ready: SimTime, mut wire: Vec<u8>) -> (SimTime, Vec<u8>) {
         let start = ready.max(self.busy_until);
         let end = start + self.config.frame_time(wire.len());
         self.busy_until = end;
         self.frames_carried += 1;
-        if let Some(burst) = self.burst.as_mut() {
-            if burst.drop_next() {
-                self.frames_lost += 1;
-                return (end + self.config.propagation, None);
-            }
-        }
         let nbits = (wire.len() * 8) as u64;
         let flips = self.rng.binomial_small_p(nbits, self.config.ber);
         if flips > 0 {
@@ -118,7 +97,7 @@ impl EtherWire {
             self.taps
                 .record(simcap::TapPoint::LinkFrame, delivery, wire.clone());
         }
-        (delivery, Some(wire))
+        (delivery, wire)
     }
 }
 
@@ -159,8 +138,7 @@ mod tests {
         let mut w = EtherWire::new(WireConfig::default(), 1);
         let data: Vec<u8> = (0..200u8).collect();
         let (_, out) = w.carry(SimTime::ZERO, data.clone());
-        assert_eq!(out, Some(data));
-        assert_eq!(w.frames_lost, 0);
+        assert_eq!(out, data);
     }
 
     #[test]
@@ -176,39 +154,11 @@ mod tests {
         for _ in 0..2000 {
             let data = vec![0xaau8; 125]; // 1000 bits: ~10% hit rate.
             let (_, out) = w.carry(SimTime::ZERO, data.clone());
-            let out = out.expect("no loss process armed");
             if out != data {
                 corrupted += 1;
             }
         }
         assert!((120..280).contains(&corrupted), "{corrupted}");
         assert_eq!(w.frames_corrupted, corrupted as u64);
-    }
-
-    #[test]
-    fn burst_loss_drops_whole_frames_and_counts() {
-        let mut w = EtherWire::new(WireConfig::default(), 1);
-        w.arm_burst_loss(
-            faultkit::GilbertElliott {
-                p_good_to_bad: 0.05,
-                p_bad_to_good: 0.2,
-                loss_good: 0.0,
-                loss_bad: 1.0,
-            },
-            13,
-        );
-        let mut lost = 0;
-        let mut last_delivery = SimTime::ZERO;
-        for _ in 0..2000 {
-            let (at, out) = w.carry(SimTime::ZERO, vec![0u8; 64]);
-            assert!(at > last_delivery, "lost frames still consume wire time");
-            last_delivery = at;
-            if out.is_none() {
-                lost += 1;
-            }
-        }
-        assert!(lost > 100, "bad state drops frames: {lost}");
-        assert_eq!(w.frames_lost, lost);
-        assert_eq!(w.frames_carried, 2000);
     }
 }

@@ -169,12 +169,6 @@ impl LossProcess {
         }
         lost
     }
-
-    /// Whether the chain currently sits in the bad state.
-    #[must_use]
-    pub fn in_bad_state(&self) -> bool {
-        self.bad
-    }
 }
 
 /// Per-train cell faults: reordering, duplication and delay jitter.
@@ -455,8 +449,6 @@ pub struct FaultSchedule {
     /// Override of the adapter RX FIFO capacity in cells (the TCA-100
     /// hardware holds 292); small values make overrun reachable.
     pub rx_fifo_cells: Option<usize>,
-    /// Burst loss on the Ethernet wire (per frame, each direction).
-    pub ether_loss: Option<GilbertElliott>,
     /// Cap on outstanding mbufs per host pool; receive-path
     /// allocations beyond it fail with `ENOBUFS` (counted drops).
     pub mbuf_limit: Option<u64>,
@@ -514,13 +506,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Sets Ethernet burst frame loss.
-    #[must_use]
-    pub fn with_ether_loss(mut self, model: GilbertElliott) -> Self {
-        self.ether_loss = Some(model);
-        self
-    }
-
     /// Caps outstanding mbufs per host pool.
     #[must_use]
     pub fn with_mbuf_limit(mut self, limit: u64) -> Self {
@@ -549,7 +534,6 @@ impl FaultSchedule {
             && !self.train.any()
             && self.rx_contention.is_none()
             && self.rx_fifo_cells.is_none()
-            && self.ether_loss.is_none()
             && self.mbuf_limit.is_none()
             && self.host_pause.is_none()
             && self.link_flap.is_none()

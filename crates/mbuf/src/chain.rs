@@ -55,15 +55,6 @@ impl Chain {
         Chain::default()
     }
 
-    /// Builds a chain from a single pre-allocated mbuf.
-    #[must_use]
-    pub fn from_mbuf(m: Mbuf) -> Self {
-        let mut c = Chain::new();
-        c.len = m.len();
-        c.mbufs.push_back(m);
-        c
-    }
-
     /// Fills a chain from user data the way the ULTRIX socket layer
     /// does: cluster mbufs when `use_clusters` (the caller applies the
     /// [`CLUSTER_THRESHOLD`] policy), otherwise a packet-header mbuf

@@ -29,11 +29,6 @@ fn removal_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
         c.atm_loss = None;
         out.push(c);
     }
-    if cur.ether_loss.is_some() {
-        let mut c = *cur;
-        c.ether_loss = None;
-        out.push(c);
-    }
     if cur.rx_contention.is_some() {
         let mut c = *cur;
         c.rx_contention = None;
@@ -93,18 +88,6 @@ fn magnitude_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
         if ge.loss_good > EPS_PROB {
             let mut c = *cur;
             c.atm_loss.as_mut().expect("present").loss_good = halve(ge.loss_good);
-            out.push(c);
-        }
-    }
-    if let Some(ge) = cur.ether_loss {
-        if ge.p_good_to_bad > EPS_PROB {
-            let mut c = *cur;
-            c.ether_loss.as_mut().expect("present").p_good_to_bad = halve(ge.p_good_to_bad);
-            out.push(c);
-        }
-        if ge.loss_bad > EPS_PROB {
-            let mut c = *cur;
-            c.ether_loss.as_mut().expect("present").loss_bad = halve(ge.loss_bad);
             out.push(c);
         }
     }

@@ -32,6 +32,7 @@ use std::time::Instant;
 
 use latency_core::experiment::{Experiment, NetKind};
 use simkit::{Sim, SimTime};
+use sweep::report::json_string;
 use sweep::Sweep;
 
 /// The series number of the benchmark report this tree writes:
@@ -495,10 +496,10 @@ impl BenchReport {
         s.push_str("  \"rtt\": [\n");
         for (i, r) in self.rtt.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"net\": \"{}\", \"size\": {}, \"iterations\": {}, \"rtts\": {}, \
+                "    {{\"net\": {}, \"size\": {}, \"iterations\": {}, \"rtts\": {}, \
                  \"sim_events\": {}, \"wall_s\": {:.6}, \"rtts_per_sec\": {:.1}, \
                  \"events_per_sec\": {:.1}}}{}\n",
-                r.net,
+                json_string(&r.net),
                 r.size,
                 r.iterations,
                 r.rtts,
@@ -512,9 +513,9 @@ impl BenchReport {
         s.push_str("  ],\n  \"sweeps\": [\n");
         for (i, b) in self.sweeps.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"grid\": \"{}\", \"jobs\": {}, \"cells\": {}, \"sim_events\": {}, \
+                "    {{\"grid\": {}, \"jobs\": {}, \"cells\": {}, \"sim_events\": {}, \
                  \"rtts\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
-                b.grid,
+                json_string(&b.grid),
                 b.jobs,
                 b.cells,
                 b.sim_events,

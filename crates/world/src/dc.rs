@@ -17,7 +17,6 @@
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
-use latency_core::hedge::MitigationCost;
 use latency_core::nic::{AtmNic, Delivery, DeliveryPayload, Train};
 use latency_core::world::TcpTimer;
 use simkit::{Scheduler, Sim, SimTime};
@@ -122,6 +121,37 @@ pub enum RequestOutcome {
     /// completion is the deadline itself and the stragglers were
     /// cancelled.
     DeadlineExceeded,
+}
+
+/// Mitigation-cost counters carried next to a cell's latency columns.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MitigationCost {
+    /// Hedged requests issued.
+    pub hedges_issued: u64,
+    /// Hedges whose replica reply won the slot.
+    pub hedges_won: u64,
+    /// Hedges beaten by their own primary — pure extra load.
+    pub hedges_wasted: u64,
+    /// Application-level retries written.
+    pub retries_issued: u64,
+    /// Retries suppressed by an empty budget bucket.
+    pub budget_exhausted: u64,
+    /// Logical requests that recorded `DeadlineExceeded`.
+    pub deadline_exceeded: u64,
+    /// Sub-request results discarded as stragglers.
+    pub cancelled: u64,
+}
+
+impl std::ops::AddAssign for MitigationCost {
+    fn add_assign(&mut self, o: MitigationCost) {
+        self.hedges_issued += o.hedges_issued;
+        self.hedges_won += o.hedges_won;
+        self.hedges_wasted += o.hedges_wasted;
+        self.retries_issued += o.retries_issued;
+        self.budget_exhausted += o.budget_exhausted;
+        self.deadline_exceeded += o.deadline_exceeded;
+        self.cancelled += o.cancelled;
+    }
 }
 
 /// Fan-out/wait-for-all bookkeeping for one client host: the host's
@@ -582,17 +612,6 @@ impl DcRunResult {
             return 0.0;
         }
         self.server_pcb.traversed as f64 / self.server_pcb.lookups as f64
-    }
-
-    /// Server-side cache hit rate over cache probes (0 when the cache
-    /// is off).
-    #[must_use]
-    pub fn server_cache_hit_rate(&self) -> f64 {
-        let probes = self.server_pcb.cache_hits + self.server_pcb.cache_misses;
-        if probes == 0 {
-            return 0.0;
-        }
-        self.server_pcb.cache_hits as f64 / probes as f64
     }
 }
 

@@ -44,10 +44,12 @@ pub mod dc;
 pub mod study;
 pub mod topology;
 
-pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
+pub use dc::{
+    dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, MitigationCost, RequestOutcome,
+};
 pub use study::{
     canonical_json, mitigation_policy, rep_seed, run_dc_cells, run_dc_cells_with, study, CcStudy,
-    DcCell, DcCellResult, DcStudy, HedgeStudy, Study, StudyCell, TailsStudy, STUDIES,
+    DcCell, DcCellResult, DcStudy, HedgeStudy, Mitigation, Study, StudyCell, TailsStudy, STUDIES,
 };
 pub use topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,

@@ -8,17 +8,19 @@
 //! congestion-control variants with UBR drop policies. Each is one
 //! [`Study`] in [`STUDIES`]: it names its grid, picks the sample set
 //! its report summarizes, and adds its own fields, table and failure
-//! condition. Everything else is shared.
+//! condition. Everything else is shared, including the fan-out
+//! reduction behind `tails` and `hedge`: one row type, one `reduce`
+//! and one `amplify` whose baseline each study picks.
 //!
 //! Each grid cell is one [`Topology`] + [`TrafficSchedule`] pair; its
 //! seed derives from the cell *key* (not its position), so adding or
 //! reordering cells never changes any other cell's bytes, and cells
 //! run under `sweep::pool::run_ordered` so the report is
-//! byte-identical at any `--jobs` value. The canonical JSON replicates
-//! the `sweep.json` cell schema exactly — the oracle's report parser
-//! and the golden comparator work on it unchanged (a study's extra
-//! per-cell fields follow `verify_failures`; the parser carries them
-//! as extras and the comparator checks them pairwise).
+//! byte-identical at any `--jobs` value. The canonical JSON goes
+//! through `sweep::report`'s one cell writer, so the oracle's report
+//! parser and the golden comparator work on it unchanged (a study's
+//! extra per-cell fields follow `verify_failures`; the parser carries
+//! them as extras and the comparator checks them pairwise).
 //!
 //! Repetition seeding: rep 0 runs on the key-derived base seed (so
 //! single-rep grids — every golden — are untouched), and rep `r > 0`
@@ -30,14 +32,16 @@
 use std::fmt::Write as _;
 
 use atm::{DropPolicy, TrainMarking};
-use latency_core::hedge::{Mitigation, MitigationCost, MITIGATIONS};
+use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
+use latency_core::recovery::Scenario;
 use latency_core::{ObsMode, Samples};
 use simcap::Quantiles as _;
 use simkit::SimTime;
-use sweep::report::{json_num, json_string};
+pub use sweep::report::Field;
+use sweep::report::{json_num, ReportCell};
 use tcpip::{CcVariant, PcbCounters};
 
-use crate::dc::run_dc;
+use crate::dc::{run_dc, MitigationCost};
 use crate::topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,
     TrafficSchedule,
@@ -189,10 +193,6 @@ impl AsRef<DcCell> for StudyCell {
     }
 }
 
-/// One study-specific canonical-JSON field: its name and its rendered
-/// JSON value.
-pub type Field = (&'static str, String);
-
 /// One world study: what differs between `repro dc`, `tails`, `hedge`
 /// and `cc`. Running the grid, writing the canonical report, the
 /// shared failure check and golden verification are common to all.
@@ -245,11 +245,12 @@ pub trait Study: Sync {
     /// The deterministic report: the `sweep.json` cell schema over
     /// [`Study::samples`], then [`Study::extra_fields`].
     fn report_json(&self, name: &str, cells: &[StudyCell], results: &[DcCellResult]) -> String {
-        write_report(
+        let extras = self.extra_fields(cells, results);
+        sweep::report::canonical_report(
             name,
-            results,
-            |r| self.samples(r),
-            &self.extra_fields(cells, results),
+            results.iter().enumerate().map(|(i, r)| {
+                report_cell(r, self.samples(r), extras.get(i).map_or(&[], Vec::as_slice))
+            }),
         )
     }
 }
@@ -356,55 +357,40 @@ pub fn run_dc_cells_with<C: AsRef<DcCell> + Sync>(
 /// trips, with no extra fields.
 #[must_use]
 pub fn canonical_json(name: &str, results: &[DcCellResult]) -> String {
-    write_report(name, results, |r| &r.rtts, &[])
+    sweep::report::canonical_report(name, results.iter().map(|r| report_cell(r, &r.rtts, &[])))
 }
 
-/// The one canonical writer, byte-compatible with the `sweep.json`
-/// cell schema (same fields, same formatting) so `oracle`'s parser
-/// and golden comparator apply unchanged. `samples` picks the set the
-/// statistics summarize; `extras[i]` follows cell `i`'s
-/// `verify_failures`.
-fn write_report(
-    name: &str,
-    results: &[DcCellResult],
-    samples: impl Fn(&DcCellResult) -> &Samples,
-    extras: &[Vec<Field>],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    for (i, c) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let s = samples(c);
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", s.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(s.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(s.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(s.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(s.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let sim_us = json_num(c.sim_time.as_us_f64());
-        let _ = write!(out, "\"sim_time_us\": {sim_us}, ");
-        let _ = write!(out, "\"verify_failures\": {}", c.verify_failures);
-        for (field, value) in extras.get(i).into_iter().flatten() {
-            let _ = write!(out, ", \"{field}\": {value}");
-        }
-        out.push_str(" }");
+/// One cell of the shared `sweep.json` schema, its statistics taken
+/// over `samples`.
+fn report_cell<'a>(r: &'a DcCellResult, samples: &Samples, extras: &'a [Field]) -> ReportCell<'a> {
+    ReportCell {
+        key: &r.key,
+        seed: r.seed,
+        reps: r.reps,
+        samples: samples.len(),
+        mean_us: samples.mean_us(),
+        stddev_us: samples.stddev_us(),
+        min_us: samples.min_us(),
+        max_us: samples.max_us(),
+        events: r.events,
+        sim_time: r.sim_time,
+        verify_failures: r.verify_failures,
+        extras,
     }
-    out.push_str(if results.is_empty() { "}" } else { "\n  }" });
-    out.push_str("\n}\n");
-    out
 }
 
 /// A JSON number, or `null` for an honestly unavailable statistic
 /// (under-sampled p999, missing amplification baseline).
 fn opt_num(v: Option<f64>) -> String {
     v.map_or_else(|| "null".to_string(), json_num)
+}
+
+/// A right-aligned table column, `-` for an unavailable statistic.
+fn opt_col(v: Option<f64>, width: usize, prec: usize) -> String {
+    match v {
+        Some(x) => format!("{x:>width$.prec$}"),
+        None => format!("{:>width$}", "-"),
+    }
 }
 
 /// A world cell on the staggered schedule.
@@ -455,7 +441,7 @@ const RENO_DEPTH: Depth = Depth::new(4, 60, 2, 1);
 /// variant there would change nothing. `key` builds the cell key from
 /// the scenario label and the depth tag `i<rounds>r<reps>`.
 fn fanout_cell(
-    sc: &latency_core::recovery::Scenario,
+    sc: &Scenario,
     reno: bool,
     width: usize,
     depth: Depth,
@@ -595,12 +581,217 @@ impl Study for DcStudy {
     }
 }
 
-/// `repro tails`: the fan-out/wait-for-all completion-tail study. Each
-/// client issues one logical request as N parallel sub-requests to N
-/// distinct servers and completes on the slowest reply; the table
+/// The tails study's fault regimes, clean baseline first.
+///
+/// Order is part of the report: tables and canonical JSON render in
+/// this order. Names are stable sweep-key components.
+fn tails_scenarios() -> Vec<Scenario> {
+    vec![
+        Scenario {
+            name: "clean",
+            blurb: "no injected faults (tail from contention alone)",
+            faults: FaultSchedule::default(),
+        },
+        Scenario {
+            name: "burst-loss",
+            blurb: "rare short cell-loss bursts (GE light) on server uplinks",
+            faults: FaultSchedule::default().with_atm_loss(GilbertElliott::light_bursts()),
+        },
+        Scenario {
+            name: "fifo-overrun",
+            blurb: "8-cell server RX FIFO + 12-cell drain stalls",
+            faults: FaultSchedule::default()
+                .with_rx_fifo_cells(8)
+                .with_rx_contention(0.002, 12),
+        },
+        Scenario {
+            name: "mbuf-exhaustion",
+            blurb: "server pools sized below the incast burst: ENOBUFS sheds",
+            faults: FaultSchedule::default().with_mbuf_limit(12),
+        },
+    ]
+}
+
+/// The hedge study's fault regimes: the tails study's `clean` and
+/// `burst-loss`, then host pauses and link flaps.
+///
+/// The pause and flap schedules are pure time functions (no RNG):
+/// their windows land identically in every cell, so mitigation columns
+/// differ only by the mitigation.
+fn hedge_scenarios() -> Vec<Scenario> {
+    let mut all = tails_scenarios();
+    all.truncate(2);
+    all.extend([
+        Scenario {
+            name: "host-pause",
+            blurb: "servers stall 3 ms every 25 ms (GC-style pause windows)",
+            faults: FaultSchedule::default().with_host_pause(PauseSchedule::new(
+                SimTime::from_ms(1),
+                SimTime::from_ms(25),
+                SimTime::from_ms(3),
+            )),
+        },
+        Scenario {
+            name: "link-flap",
+            blurb: "server uplinks drop everything 2 ms every 30 ms",
+            faults: FaultSchedule::default().with_link_flap(FlapSchedule::new(
+                SimTime::from_us(500),
+                SimTime::from_ms(30),
+                SimTime::from_ms(2),
+            )),
+        },
+    ]);
+    all
+}
+
+/// One fan-out cell of the tails or hedge study, reduced to its
+/// completion-time columns.
+///
+/// Percentile hygiene matters more here than anywhere else in the
+/// repo: p999 is `None` (rendered `-`, JSON `null`) below `simcap`'s
+/// minimum sample floor rather than a number that just repeats the
+/// max.
+struct FanoutRow<'c> {
+    /// The cell: scenario, mitigation, fan-out width and churn.
+    cell: &'c StudyCell,
+    /// Measured logical-request completions.
+    samples: u64,
+    /// Client hosts whose fan-out round was aborted by the retransmit
+    /// limit (their remaining rounds are missing from `samples`).
+    aborted: u64,
+    /// Mean completion in µs.
+    mean_us: f64,
+    /// Median completion in µs.
+    p50_us: f64,
+    /// 99th-percentile completion in µs.
+    p99_us: f64,
+    /// 99.9th-percentile completion in µs; `None` when the cell holds
+    /// fewer than [`simcap::P999_MIN_SAMPLES`] samples (nearest-rank
+    /// p999 would just repeat the max).
+    p999_us: Option<f64>,
+    /// Worst completion in µs.
+    max_us: f64,
+    /// `p50 / p50(baseline)`; `None` until [`amplify`] runs or when
+    /// the baseline is missing or degenerate.
+    amp_p50: Option<f64>,
+    /// `p99 / p99(baseline)` — the tail-amplification ratio.
+    amp_p99: Option<f64>,
+    /// The mitigation's cost counters.
+    cost: MitigationCost,
+}
+
+impl<'c> FanoutRow<'c> {
+    /// The cell's world: fan-out width and churn.
+    fn topo(&self) -> &'c Topology {
+        &self.cell.cell.topo
+    }
+
+    /// The amplification group: scenario label x churn.
+    fn group(&self) -> (&'c str, bool) {
+        (&self.cell.scenario, self.topo().churn.is_some())
+    }
+
+    /// The completion percentiles both fan-out reports carry; `null`
+    /// marks an honestly unavailable statistic and must match as
+    /// `null`.
+    fn percentile_fields(&self) -> Vec<Field> {
+        let sampled = self.samples > 0;
+        vec![
+            ("p50_us", opt_num(sampled.then_some(self.p50_us))),
+            ("p99_us", opt_num(sampled.then_some(self.p99_us))),
+            ("p999_us", opt_num(self.p999_us)),
+        ]
+    }
+}
+
+/// Reduces one cell's completion times to a row. The amplification
+/// columns start `None`; [`amplify`] fills them once every row of the
+/// study exists.
+fn reduce<'c>(
+    cell: &'c StudyCell,
+    completions: &Samples,
+    aborted: u64,
+    cost: MitigationCost,
+) -> FanoutRow<'c> {
+    let rec = completions.recorder();
+    let us = |ns: i64| ns as f64 / 1000.0;
+    FanoutRow {
+        cell,
+        samples: completions.len() as u64,
+        aborted,
+        mean_us: rec.mean_us(),
+        p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
+        p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
+        p999_us: rec.p999_ns().map(us),
+        max_us: us(rec.max_ns().unwrap_or(0)),
+        amp_p50: None,
+        amp_p99: None,
+        cost,
+    }
+}
+
+/// Fills the amplification columns: each row is divided by the
+/// baseline of its scenario x churn group, the first sampled row there
+/// that `is_base` accepts (tails: fan-out 1; hedge, whose cells never
+/// carry churn: no mitigation).
+///
+/// A row with no baseline (the group has none, or the baseline
+/// percentile is zero or itself unsampled) keeps `None` — rendered as
+/// `-` / JSON `null` rather than a made-up ratio.
+fn amplify(rows: &mut [FanoutRow<'_>], is_base: impl Fn(&FanoutRow<'_>) -> bool) {
+    let bases: Vec<_> = rows
+        .iter()
+        .filter(|r| r.samples > 0 && is_base(r))
+        .map(|r| (r.group(), r.p50_us, r.p99_us))
+        .collect();
+    for row in rows.iter_mut().filter(|r| r.samples > 0) {
+        if let Some(&(_, b50, b99)) = bases.iter().find(|(g, _, _)| *g == row.group()) {
+            row.amp_p50 = (b50 > 0.0).then(|| row.p50_us / b50);
+            row.amp_p99 = (b99 > 0.0).then(|| row.p99_us / b99);
+        }
+    }
+}
+
+/// Reduces a fan-out study's results to rows, amplification filled in
+/// against the baselines `is_base` picks.
+fn fanout_rows<'c>(
+    cells: &'c [StudyCell],
+    results: &[DcCellResult],
+    is_base: impl Fn(&FanoutRow<'_>) -> bool,
+) -> Vec<FanoutRow<'c>> {
+    assert_eq!(
+        cells.len(),
+        results.len(),
+        "rows require one result per cell"
+    );
+    let mut rows: Vec<_> = cells
+        .iter()
+        .zip(results)
+        .map(|(c, r)| reduce(c, &r.completions, r.fanout_aborts, r.cost))
+        .collect();
+    amplify(&mut rows, is_base);
+    rows
+}
+
+/// `repro tails`: the fan-out/wait-for-all completion-tail study.
+///
+/// The paper's tables price one round trip between two hosts; modern
+/// datacenter services price the *slowest of N*. A client that fans a
+/// logical request out to N servers and waits for every reply turns a
+/// rare per-server hiccup into a common per-request one: if a single
+/// sub-request lands in the slow tail with probability `p`, the
+/// logical request does with probability `1 - (1 - p)^N`. At N = 64 a
+/// 1-in-100 hiccup hits nearly half of all requests — the p99 becomes
+/// the p50's problem ("Deconstructing the Tail at Scale Effect",
+/// PAPERS.md).
+///
+/// Each client issues one logical request as N parallel sub-requests to
+/// N distinct servers and completes on the slowest reply; the table
 /// reports completion p50/p99/p999 and the tail-amplification ratio
 /// (p99 at fan-out N over p99 at fan-out 1) per faultkit scenario,
-/// with and without background churn traffic.
+/// with and without background churn traffic. The paper-predicted
+/// signature is amplification growing with N while the median stays
+/// near flat.
 ///
 /// Retransmit-limit aborts are *data*, not failures: the
 /// mbuf-exhaustion regime is expected to kill client rounds, and the
@@ -617,7 +808,7 @@ pub struct TailsStudy;
 /// against the warm-stack cells.
 fn tails_cells(widths: &[usize], churns: &[bool], depth: Depth, reno: bool) -> Vec<StudyCell> {
     let mut cells = Vec::new();
-    for sc in latency_core::tails::scenarios() {
+    for sc in tails_scenarios() {
         for &w in widths {
             for &churn in churns {
                 let solo = if churn { "churn" } else { "solo" };
@@ -634,28 +825,12 @@ fn tails_cells(widths: &[usize], churns: &[bool], depth: Depth, reno: bool) -> V
     cells
 }
 
-/// Reduces tails results to table rows, amplification filled in.
-fn tails_rows(cells: &[StudyCell], results: &[DcCellResult]) -> Vec<latency_core::tails::TailsRow> {
-    assert_eq!(
-        cells.len(),
-        results.len(),
-        "rows require one result per cell"
-    );
-    let mut rows: Vec<_> = cells
-        .iter()
-        .zip(results)
-        .map(|(c, r)| {
-            latency_core::tails::reduce(
-                &c.scenario,
-                c.cell.topo.fanout_width,
-                c.cell.topo.churn.is_some(),
-                &r.completions,
-                r.fanout_aborts,
-            )
-        })
-        .collect();
-    latency_core::tails::amplify(&mut rows);
-    rows
+impl TailsStudy {
+    /// The study's rows, each amplified against the fan-out-1 cell of
+    /// its scenario x churn group.
+    fn rows<'c>(cells: &'c [StudyCell], results: &[DcCellResult]) -> Vec<FanoutRow<'c>> {
+        fanout_rows(cells, results, |r| r.topo().fanout_width == 1)
+    }
 }
 
 impl Study for TailsStudy {
@@ -686,40 +861,145 @@ impl Study for TailsStudy {
         &r.completions
     }
 
-    /// Completion percentiles, amplification and aborts; `null` marks
-    /// an honestly unavailable statistic and must match as `null`.
+    /// Completion percentiles, amplification and aborts.
     fn extra_fields(&self, cells: &[StudyCell], results: &[DcCellResult]) -> Vec<Vec<Field>> {
-        let rows = tails_rows(cells, results);
-        results
+        TailsStudy::rows(cells, results)
             .iter()
-            .zip(&rows)
-            .map(|(r, row)| {
-                let sampled = row.samples > 0;
-                vec![
-                    ("p50_us", opt_num(sampled.then_some(row.p50_us))),
-                    ("p99_us", opt_num(sampled.then_some(row.p99_us))),
-                    ("p999_us", opt_num(row.p999_us)),
+            .map(|row| {
+                let mut fields = row.percentile_fields();
+                fields.extend([
                     ("amp_p50", opt_num(row.amp_p50)),
                     ("amp_p99", opt_num(row.amp_p99)),
-                    ("fanout_aborts", r.fanout_aborts.to_string()),
-                ]
+                    ("fanout_aborts", row.aborted.to_string()),
+                ]);
+                fields
             })
             .collect()
     }
 
     fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
-        latency_core::tails::format_table(&tails_rows(cells, results))
+        tails_table(&TailsStudy::rows(cells, results))
     }
 }
 
-/// `repro hedge`: the tail-tolerant RPC study. Every cell runs the
-/// fan-out-16 world under one fault regime (clean, burst-loss, host
-/// pause windows, link flap) and one mitigation (none, deadline,
+/// The tails table, one row per scenario x fan-out x churn cell, in
+/// the given order.
+fn tails_table(rows: &[FanoutRow<'_>]) -> String {
+    let mut out = String::from(
+        "tail at scale (fan-out/wait-for-all RPC over the switched ATM\n\
+         fabric): completion time = max over N parallel sub-requests\n",
+    );
+    let _ = writeln!(
+        out,
+        "{:<16} {:>4} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>5}",
+        "scenario",
+        "N",
+        "churn",
+        "mean(us)",
+        "p50(us)",
+        "p99(us)",
+        "p999(us)",
+        "worst(us)",
+        "amp(p50)",
+        "amp(p99)",
+        "n"
+    );
+    for r in rows {
+        let churn = if r.topo().churn.is_some() {
+            "on"
+        } else {
+            "off"
+        };
+        let (scenario, width) = (&r.cell.scenario, r.topo().fanout_width);
+        if r.samples == 0 {
+            let _ = writeln!(
+                out,
+                "{scenario:<16} {width:>4} {churn:>6} | {:>9} {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>4}!",
+                "-", "-", "-", "-", "-", "-", "-", 0,
+            );
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "{scenario:<16} {width:>4} {churn:>6} | {:>9.0} {:>9.0} {:>9.0} {} {:>10.0} | {} {} | {:>4}{}",
+            r.mean_us,
+            r.p50_us,
+            r.p99_us,
+            opt_col(r.p999_us, 9, 0),
+            r.max_us,
+            opt_col(r.amp_p50, 8, 2),
+            opt_col(r.amp_p99, 8, 2),
+            r.samples,
+            if r.aborted > 0 { "!" } else { "" },
+        );
+    }
+    out.push_str(
+        "(p999 '-' = under the 1000-sample nearest-rank floor; '!' =\n\
+         some client rounds hit the retransmit-limit abort; amp = ratio\n\
+         to the fan-out-1 cell of the same scenario x churn group.)\n",
+    );
+    out
+}
+
+/// One mitigation column of the hedge study, mapped onto a
+/// [`TailPolicy`] by [`mitigation_policy`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mitigation {
+    /// Classic wait-for-all: the tails-study baseline.
+    None,
+    /// A 10 ms request deadline; stragglers cancelled, the outcome
+    /// typed `DeadlineExceeded`.
+    Deadline,
+    /// Budgeted application-level retries (exponential backoff,
+    /// key-derived jitter, token-bucket budget).
+    Retry,
+    /// Hedged requests: reissue the slowest outstanding sub-request
+    /// to a replica after the running-p95 delay, take the first reply.
+    Hedge,
+    /// Hedging plus partial fan-out: the request completes at the
+    /// K-th fastest slot (K = N - 2) instead of the slowest.
+    HedgeQuorum,
+}
+
+/// Every mitigation, in report order (baseline first).
+pub const MITIGATIONS: [Mitigation; 5] = [
+    Mitigation::None,
+    Mitigation::Deadline,
+    Mitigation::Retry,
+    Mitigation::Hedge,
+    Mitigation::HedgeQuorum,
+];
+
+impl Mitigation {
+    /// Stable sweep-key component.
+    #[must_use]
+    pub fn tag(self) -> &'static str {
+        match self {
+            Mitigation::None => "none",
+            Mitigation::Deadline => "deadline",
+            Mitigation::Retry => "retry",
+            Mitigation::Hedge => "hedge",
+            Mitigation::HedgeQuorum => "hedge-kofn",
+        }
+    }
+}
+
+/// `repro hedge`: the tail-tolerant RPC study. The tails study
+/// establishes the problem; this one prices the *mitigations* from
+/// "The Tail at Scale" (PAPERS.md) against each other. Every cell runs
+/// the fan-out-16 world under one fault regime (clean, burst-loss,
+/// host pause windows, link flap) and one mitigation (none, deadline,
 /// budgeted retries, hedged requests, hedge + first-K-of-N), and the
 /// table prices each mitigation's p50/p99/p999 against the
 /// unmitigated baseline — `amp(p99) < 1` means the mitigation cut the
-/// tail — next to its cost counters (hedges won/wasted, retries
-/// issued/suppressed, deadline busts).
+/// tail.
+///
+/// Every mitigation has a cost column, not just a latency column:
+/// hedges won vs. wasted, retries issued vs. suppressed by the token
+/// bucket, requests that traded completeness for the deadline, and
+/// stragglers cancelled past the quorum. A mitigation that "wins" the
+/// p99 while wasting most of its hedges or starving its retry budget
+/// is visible as such — the study reports the trade, not a verdict.
 ///
 /// Like `repro tails`, retransmit-limit aborts are data (`!` rows);
 /// a leaked mbuf after teardown (cancelled and hedged requests must
@@ -765,7 +1045,7 @@ pub fn mitigation_policy(m: Mitigation, width: usize) -> Option<TailPolicy> {
 fn hedge_cells(mitigations: &[Mitigation], depth: Depth, reno: bool) -> Vec<StudyCell> {
     const WIDTH: usize = 16;
     let mut cells = Vec::new();
-    for sc in latency_core::hedge::scenarios() {
+    for sc in hedge_scenarios() {
         for &m in mitigations {
             let mut c = fanout_cell(&sc, reno, WIDTH, depth, |label, d| {
                 format!("hedge/{label}/{}/f{WIDTH}/{d}", m.tag())
@@ -778,29 +1058,12 @@ fn hedge_cells(mitigations: &[Mitigation], depth: Depth, reno: bool) -> Vec<Stud
     cells
 }
 
-/// Reduces hedge results to table rows, `amp_p99` filled in.
-fn hedge_rows(cells: &[StudyCell], results: &[DcCellResult]) -> Vec<latency_core::hedge::HedgeRow> {
-    assert_eq!(
-        cells.len(),
-        results.len(),
-        "rows require one result per cell"
-    );
-    let mut rows: Vec<_> = cells
-        .iter()
-        .zip(results)
-        .map(|(c, r)| {
-            latency_core::hedge::reduce(
-                &c.scenario,
-                c.mitigation.tag(),
-                c.cell.topo.fanout_width,
-                &r.completions,
-                r.fanout_aborts,
-                r.cost,
-            )
-        })
-        .collect();
-    latency_core::hedge::amplify(&mut rows);
-    rows
+impl HedgeStudy {
+    /// The study's rows, each amplified against the no-mitigation cell
+    /// of its scenario.
+    fn rows<'c>(cells: &'c [StudyCell], results: &[DcCellResult]) -> Vec<FanoutRow<'c>> {
+        fanout_rows(cells, results, |r| r.cell.mitigation == Mitigation::None)
+    }
 }
 
 impl Study for HedgeStudy {
@@ -828,37 +1091,97 @@ impl Study for HedgeStudy {
         &r.completions
     }
 
-    /// Completion percentiles, amplification, and the mitigation-cost
-    /// ledger.
+    /// Completion percentiles, amplification (p99 only), and the
+    /// mitigation-cost ledger.
     fn extra_fields(&self, cells: &[StudyCell], results: &[DcCellResult]) -> Vec<Vec<Field>> {
-        let rows = hedge_rows(cells, results);
-        results
+        HedgeStudy::rows(cells, results)
             .iter()
-            .zip(&rows)
-            .map(|(r, row)| {
-                let sampled = row.samples > 0;
-                vec![
-                    ("p50_us", opt_num(sampled.then_some(row.p50_us))),
-                    ("p99_us", opt_num(sampled.then_some(row.p99_us))),
-                    ("p999_us", opt_num(row.p999_us)),
+            .zip(results)
+            .map(|(row, r)| {
+                let mut fields = row.percentile_fields();
+                fields.extend([
                     ("amp_p99", opt_num(row.amp_p99)),
-                    ("hedges_issued", r.cost.hedges_issued.to_string()),
-                    ("hedges_won", r.cost.hedges_won.to_string()),
-                    ("hedges_wasted", r.cost.hedges_wasted.to_string()),
-                    ("retries_issued", r.cost.retries_issued.to_string()),
-                    ("budget_exhausted", r.cost.budget_exhausted.to_string()),
-                    ("deadline_exceeded", r.cost.deadline_exceeded.to_string()),
-                    ("cancelled", r.cost.cancelled.to_string()),
+                    ("hedges_issued", row.cost.hedges_issued.to_string()),
+                    ("hedges_won", row.cost.hedges_won.to_string()),
+                    ("hedges_wasted", row.cost.hedges_wasted.to_string()),
+                    ("retries_issued", row.cost.retries_issued.to_string()),
+                    ("budget_exhausted", row.cost.budget_exhausted.to_string()),
+                    ("deadline_exceeded", row.cost.deadline_exceeded.to_string()),
+                    ("cancelled", row.cost.cancelled.to_string()),
                     ("mbufs_leaked", r.mbufs_leaked.to_string()),
-                    ("fanout_aborts", r.fanout_aborts.to_string()),
-                ]
+                    ("fanout_aborts", row.aborted.to_string()),
+                ]);
+                fields
             })
             .collect()
     }
 
     fn table(&self, cells: &[StudyCell], results: &[DcCellResult]) -> String {
-        latency_core::hedge::format_table(&hedge_rows(cells, results))
+        hedge_table(&HedgeStudy::rows(cells, results))
     }
+}
+
+/// The hedge table, one row per scenario x mitigation cell, in the
+/// given order.
+fn hedge_table(rows: &[FanoutRow<'_>]) -> String {
+    let mut out = String::from(
+        "tail tolerance (fan-out RPC under mitigation): completion =\n\
+         K-th fastest sub-request capped by the deadline, vs. classic\n\
+         wait-for-all in the same fault regime\n",
+    );
+    let _ = writeln!(
+        out,
+        "{:<12} {:<11} {:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>11} {:>7} {:>7} {:>5} | {:>5}",
+        "scenario",
+        "mitigation",
+        "N",
+        "p50(us)",
+        "p99(us)",
+        "p999(us)",
+        "max(us)",
+        "amp(p99)",
+        "hedge w/l/i",
+        "retry",
+        "no-tok",
+        "ddl",
+        "n"
+    );
+    for r in rows {
+        let (scenario, mitigation) = (&r.cell.scenario, r.cell.mitigation.tag());
+        let width = r.topo().fanout_width;
+        if r.samples == 0 {
+            let _ = writeln!(
+                out,
+                "{scenario:<12} {mitigation:<11} {width:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>11} {:>7} {:>7} {:>5} | {:>4}!",
+                "-", "-", "-", "-", "-", "-", "-", "-", "-", 0,
+            );
+            continue;
+        }
+        let c = &r.cost;
+        let hedge = format!("{}/{}/{}", c.hedges_won, c.hedges_wasted, c.hedges_issued);
+        let _ = writeln!(
+            out,
+            "{scenario:<12} {mitigation:<11} {width:>4} | {:>8.0} {:>8.0} {} {:>8.0} | {} | {:>11} {:>7} {:>7} {:>5} | {:>4}{}",
+            r.p50_us,
+            r.p99_us,
+            opt_col(r.p999_us, 8, 0),
+            r.max_us,
+            opt_col(r.amp_p99, 8, 2),
+            hedge,
+            c.retries_issued,
+            c.budget_exhausted,
+            c.deadline_exceeded,
+            r.samples,
+            if r.aborted > 0 { "!" } else { "" },
+        );
+    }
+    out.push_str(
+        "(amp(p99) = p99 / p99(none) in the same scenario, <1 = the\n\
+         mitigation cut the tail; hedge w/l/i = hedges won/wasted/\n\
+         issued; no-tok = retries suppressed by the budget; ddl =\n\
+         requests past their deadline; '!' = retransmit-limit aborts.)\n",
+    );
+    out
 }
 
 /// `repro cc`: the congestion-control study. Every cell runs a
@@ -1060,6 +1383,233 @@ mod tests {
     /// The cells of `study`'s grid that `keep` selects.
     fn pick(study: &dyn Study, quick: bool, keep: impl Fn(&StudyCell) -> bool) -> Vec<StudyCell> {
         study.grid(quick).into_iter().filter(keep).collect()
+    }
+
+    fn t(us: u64) -> SimTime {
+        SimTime::from_us(us)
+    }
+
+    fn pool(ts: &[SimTime]) -> Samples {
+        let mut s = Samples::new(ObsMode::Exact);
+        s.extend_from(ts);
+        s
+    }
+
+    /// A fan-out cell carrying only the labels a row reads.
+    fn labelled(scenario: &str, mitigation: Mitigation, width: usize, churn: bool) -> StudyCell {
+        let mut topo = Topology::fanout(2, width);
+        if churn {
+            topo.churn = Some(ChurnTraffic::background());
+        }
+        StudyCell {
+            cell: staggered(String::new(), topo, 1),
+            scenario: scenario.to_string(),
+            mitigation,
+        }
+    }
+
+    /// A tails-study cell (no mitigation).
+    fn tails_cell(scenario: &str, width: usize, churn: bool) -> StudyCell {
+        labelled(scenario, Mitigation::None, width, churn)
+    }
+
+    /// A hedge-study cell at fan-out 16.
+    fn hedge_cell(scenario: &str, m: Mitigation) -> StudyCell {
+        labelled(scenario, m, 16, false)
+    }
+
+    fn tails_base(r: &FanoutRow<'_>) -> bool {
+        r.topo().fanout_width == 1
+    }
+
+    fn hedge_base(r: &FanoutRow<'_>) -> bool {
+        r.cell.mitigation == Mitigation::None
+    }
+
+    fn no_cost() -> MitigationCost {
+        MitigationCost::default()
+    }
+
+    fn names(all: &[Scenario]) -> Vec<&'static str> {
+        all.iter().map(|s| s.name).collect()
+    }
+
+    fn assert_unique_and_clean_first(all: &[Scenario]) {
+        assert_eq!(all[0].name, "clean");
+        assert!(all[0].faults.is_clean());
+        let mut names = names(all);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len());
+    }
+
+    #[test]
+    fn scenario_names_are_unique_and_clean_first() {
+        let tails = tails_scenarios();
+        assert_unique_and_clean_first(&tails);
+        assert!(names(&tails).contains(&"burst-loss"));
+        assert!(!names(&tails).contains(&"nope"));
+        let hedge = hedge_scenarios();
+        assert_unique_and_clean_first(&hedge);
+        assert!(names(&hedge).contains(&"host-pause"));
+        assert!(names(&hedge).contains(&"link-flap"));
+        assert!(!names(&hedge).contains(&"nope"));
+    }
+
+    #[test]
+    fn mitigation_tags_are_unique_and_baseline_first() {
+        assert_eq!(MITIGATIONS[0], Mitigation::None);
+        let mut tags: Vec<_> = MITIGATIONS.iter().map(|m| m.tag()).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), MITIGATIONS.len());
+    }
+
+    #[test]
+    fn pause_and_flap_scenarios_carry_pure_time_schedules() {
+        let all = hedge_scenarios();
+        let find = |name: &str| all.iter().find(|s| s.name == name).unwrap();
+        let pause = find("host-pause");
+        assert!(pause.faults.host_pause.is_some());
+        assert!(pause.faults.atm_loss.is_none(), "pause is RNG-free");
+        let flap = find("link-flap");
+        assert!(flap.faults.link_flap.is_some());
+        assert!(flap.faults.atm_loss.is_none(), "flap is RNG-free");
+    }
+
+    #[test]
+    fn reduce_refuses_fake_p999_on_small_cells() {
+        let cell = tails_cell("clean", 4, false);
+        let samples = pool(&[t(100), t(110), t(500)]);
+        let row = reduce(&cell, &samples, 0, no_cost());
+        assert_eq!(row.samples, 3);
+        assert_eq!(row.p999_us, None, "3 samples cannot estimate p999");
+        assert_eq!(samples.recorder().saturated(), 0);
+        assert!(row.p99_us >= row.p50_us);
+        assert!((row.max_us - 500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reduce_reports_p999_above_the_sample_floor() {
+        let samples: Vec<SimTime> = (1..=2000).map(t).collect();
+        let cell = tails_cell("clean", 16, true);
+        let row = reduce(&cell, &pool(&samples), 0, no_cost());
+        assert_eq!(row.samples, 2000);
+        let p999 = row.p999_us.expect("2000 samples clear the floor");
+        assert!(p999 < row.max_us, "p999 {p999} must not collapse to max");
+    }
+
+    #[test]
+    fn amplify_divides_by_the_matching_fanout_1_cell() {
+        let cells = [
+            tails_cell("clean", 1, false),
+            tails_cell("clean", 16, false),
+            // Different churn setting: must NOT share the baseline.
+            tails_cell("clean", 16, true),
+        ];
+        let mut rows = vec![
+            reduce(&cells[0], &pool(&[t(100), t(100), t(100)]), 0, no_cost()),
+            reduce(&cells[1], &pool(&[t(100), t(120), t(300)]), 0, no_cost()),
+            reduce(&cells[2], &pool(&[t(400), t(400), t(400)]), 0, no_cost()),
+        ];
+        amplify(&mut rows, tails_base);
+        assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
+        assert_eq!(rows[0].amp_p50, Some(1.0));
+        assert!((rows[1].amp_p99.unwrap() - 3.0).abs() < 1e-9);
+        assert!((rows[1].amp_p50.unwrap() - 1.2).abs() < 1e-9);
+        assert_eq!(rows[2].amp_p99, None, "churn group has no fan-out-1 cell");
+    }
+
+    #[test]
+    fn amplify_skips_empty_and_degenerate_baselines() {
+        let cells = [
+            tails_cell("clean", 1, false),
+            tails_cell("clean", 4, false),
+            tails_cell("burst-loss", 1, false),
+            tails_cell("burst-loss", 4, false),
+        ];
+        let mut rows = vec![
+            reduce(&cells[0], &pool(&[]), 1, no_cost()),
+            reduce(&cells[1], &pool(&[t(10)]), 0, no_cost()),
+            reduce(&cells[2], &pool(&[SimTime::ZERO]), 0, no_cost()),
+            reduce(&cells[3], &pool(&[t(10)]), 0, no_cost()),
+        ];
+        amplify(&mut rows, tails_base);
+        assert_eq!(rows[1].amp_p99, None, "empty baseline yields no ratio");
+        assert_eq!(
+            rows[3].amp_p99, None,
+            "zero-valued baseline percentile yields no ratio"
+        );
+    }
+
+    #[test]
+    fn tails_table_renders_sampled_empty_and_unsampled_rows() {
+        let cells = [
+            tails_cell("clean", 1, false),
+            tails_cell("clean", 64, true),
+            tails_cell("mbuf-exhaustion", 64, true),
+        ];
+        let mut rows = vec![
+            reduce(&cells[0], &pool(&[t(100), t(110)]), 0, no_cost()),
+            reduce(&cells[1], &pool(&[t(100), t(900)]), 2, no_cost()),
+            reduce(&cells[2], &pool(&[]), 4, no_cost()),
+        ];
+        amplify(&mut rows, tails_base);
+        let text = tails_table(&rows);
+        assert!(text.contains("scenario"));
+        assert!(text.contains("amp(p99)"));
+        assert!(text.contains("mbuf-exhaustion"));
+        assert!(text.contains('!'), "aborted rows are flagged");
+        // Under-sampled p999 renders as '-', not a number.
+        assert!(text.contains(" - "));
+    }
+
+    #[test]
+    fn amplify_divides_by_the_no_mitigation_cell() {
+        let cells = [
+            hedge_cell("clean", Mitigation::None),
+            hedge_cell("clean", Mitigation::Hedge),
+            // Different scenario: must NOT share the baseline.
+            hedge_cell("burst-loss", Mitigation::Hedge),
+        ];
+        let mut rows = vec![
+            reduce(&cells[0], &pool(&[t(100), t(100), t(300)]), 0, no_cost()),
+            reduce(&cells[1], &pool(&[t(100), t(100), t(150)]), 0, no_cost()),
+            reduce(&cells[2], &pool(&[t(600)]), 0, no_cost()),
+        ];
+        amplify(&mut rows, hedge_base);
+        assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
+        assert!((rows[1].amp_p99.unwrap() - 0.5).abs() < 1e-9);
+        assert_eq!(rows[2].amp_p99, None, "no baseline in its scenario");
+    }
+
+    #[test]
+    fn hedge_reduce_refuses_fake_p999_and_table_renders_costs() {
+        let cost = MitigationCost {
+            hedges_issued: 5,
+            hedges_won: 3,
+            hedges_wasted: 2,
+            retries_issued: 7,
+            budget_exhausted: 1,
+            deadline_exceeded: 2,
+            cancelled: 4,
+        };
+        let cells = [
+            hedge_cell("clean", Mitigation::None),
+            hedge_cell("clean", Mitigation::Hedge),
+            hedge_cell("link-flap", Mitigation::Retry),
+        ];
+        let mut rows = vec![
+            reduce(&cells[0], &pool(&[t(100), t(110)]), 0, no_cost()),
+            reduce(&cells[1], &pool(&[t(90), t(95)]), 1, cost),
+            reduce(&cells[2], &pool(&[]), 2, no_cost()),
+        ];
+        assert_eq!(rows[1].p999_us, None, "2 samples cannot estimate p999");
+        amplify(&mut rows, hedge_base);
+        let text = hedge_table(&rows);
+        assert!(text.contains("3/2/5"), "hedge won/wasted/issued: {text}");
+        assert!(text.contains('!'), "aborted rows are flagged");
+        assert!(text.contains("link-flap"));
     }
 
     fn assert_unique_keys(g: &[StudyCell]) {

@@ -176,12 +176,6 @@ impl RxFifo {
     pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, Cell> {
         self.cells.drain(..)
     }
-
-    /// Drains at most `n` cells, in place.
-    pub fn drain_up_to(&mut self, n: usize) -> std::collections::vec_deque::Drain<'_, Cell> {
-        let take = n.min(self.cells.len());
-        self.cells.drain(..take)
-    }
 }
 
 /// A complete TCA-100: one TX and one RX FIFO plus identity.
@@ -303,7 +297,7 @@ mod tests {
         }
         assert_eq!(rx.occupancy(), 4);
         assert_eq!(rx.overflow_drops, 2);
-        assert_eq!(rx.drain_up_to(3).len(), 3);
+        assert_eq!(rx.drain().len(), 4);
         assert!(rx.arrive(a_cell()));
     }
 

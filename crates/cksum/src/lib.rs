@@ -46,13 +46,11 @@
 
 pub mod algos;
 pub mod crc;
-pub mod fletcher;
 pub mod partial;
 pub mod pseudo;
 pub mod sum;
 
 pub use algos::{copy_and_cksum, naive_cksum, optimized_cksum, ultrix_cksum};
-pub use fletcher::{Fletcher16, Fletcher8};
 pub use partial::PartialChecksum;
 pub use pseudo::pseudo_header_sum;
 pub use sum::Sum16;

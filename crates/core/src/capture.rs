@@ -132,14 +132,13 @@ impl<'a> crate::experiment::RunPlan<'a> {
     ///
     /// A capture is one repetition: the plan's (first-repetition) seed
     /// is used and [`reps`](crate::experiment::RunPlan::reps) does not
-    /// apply. Observers and the observability mode are set on the
-    /// `RunPlan` before this call and carry over.
+    /// apply. Observers are set on the `RunPlan` before this call and
+    /// carry over.
     #[must_use]
     pub fn captured(self) -> CapturePlan<'a> {
         CapturePlan {
             exp: self.exp,
             seed: self.seed,
-            obs: self.obs,
             flight: None,
             observers: self.observers,
         }
@@ -152,7 +151,6 @@ impl<'a> crate::experiment::RunPlan<'a> {
 pub struct CapturePlan<'a> {
     exp: &'a Experiment,
     seed: u64,
-    obs: crate::obs::ObsMode,
     flight: Option<usize>,
     observers: Vec<simkit::ObserverFn<crate::world::World>>,
 }
@@ -181,13 +179,12 @@ impl CapturePlan<'_> {
     #[must_use]
     pub fn execute(self) -> CaptureRun {
         let shared = crate::experiment::share_observers(self.observers);
-        let (mut result, mut w) = self.exp.run_sim_with(
+        let (result, mut w) = self.exp.run_sim_with(
             self.seed,
             true,
             self.flight,
             crate::experiment::fan_out(&shared),
         );
-        result.obs = self.obs;
         let ether = self.exp.net == NetKind::Ether;
         let client_spans = w.hosts[0].kernel.spans.clone();
         let client = HostCapture::drain(&mut w.hosts[0], ether);

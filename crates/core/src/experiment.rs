@@ -216,7 +216,6 @@ impl Experiment {
             exp: self,
             seed: 1,
             reps: 1,
-            obs: crate::obs::ObsMode::Exact,
             observers: Vec::new(),
         }
     }
@@ -240,7 +239,6 @@ impl Experiment {
         let (tx, rx, breakdown_iters) = compute_breakdowns(&client.kernel.spans);
         let (client_nic_stats, server_nic_stats) = (nic_stats(&client.nic), nic_stats(&server.nic));
         let result = RunResult {
-            obs: crate::obs::ObsMode::Exact,
             rtts: client.app.stats.rtts.clone(),
             tx,
             rx,
@@ -318,7 +316,6 @@ pub struct RunPlan<'a> {
     pub(crate) exp: &'a Experiment,
     pub(crate) seed: u64,
     pub(crate) reps: u64,
-    pub(crate) obs: crate::obs::ObsMode,
     pub(crate) observers: Vec<simkit::ObserverFn<World>>,
 }
 
@@ -335,18 +332,6 @@ impl RunPlan<'_> {
     #[must_use]
     pub fn reps(mut self, reps: u64) -> Self {
         self.reps = reps;
-        self
-    }
-
-    /// Sets the observability mode for the pooled RTT samples
-    /// (default [`crate::obs::ObsMode::Exact`]). The mode selects what
-    /// [`RunResult::samples`] and [`RunResult::recorder`] retain:
-    /// exact keeps every sample (the historical numbers, byte for
-    /// byte), sketch answers quantiles from a bounded
-    /// [`simcap::QuantileSketch`].
-    #[must_use]
-    pub fn observe(mut self, mode: crate::obs::ObsMode) -> Self {
-        self.obs = mode;
         self
     }
 
@@ -389,7 +374,6 @@ impl RunPlan<'_> {
             acc.tx = mean_tx(&acc.tx, &r.tx, n);
             acc.rx = mean_rx(&acc.rx, &r.rx, n);
         }
-        acc.obs = self.obs;
         acc
     }
 }
@@ -559,16 +543,13 @@ pub struct RunResult {
     /// Mbufs still outstanding per host pool (client, server) *after*
     /// the world was torn down. Non-zero means a leak: every code
     /// path — including every fault path — must return its buffers.
-    /// Filled by [`Experiment::run`]; zero when the world outlives the
+    /// Filled by [`RunPlan::execute`]; zero when the world outlives the
     /// result (the capture harness).
     pub mbufs_leaked: (u64, u64),
     /// Events executed.
     pub events: u64,
     /// Final simulation time.
     pub sim_time: SimTime,
-    /// The observability mode the plan ran under (what
-    /// [`RunResult::samples`] retains).
-    pub obs: crate::obs::ObsMode,
 }
 
 impl RunResult {
@@ -578,20 +559,10 @@ impl RunResult {
         stats::mean_us(&self.rtts)
     }
 
-    /// The pooled RTT samples in the plan's observability mode (see
-    /// [`RunPlan::observe`]).
-    #[must_use]
-    pub fn samples(&self) -> crate::obs::Samples {
-        let mut s = crate::obs::Samples::new(self.obs);
-        s.extend_from(&self.rtts);
-        s
-    }
-
-    /// A unified [`simcap::Recorder`] over the pooled RTTs, in the
-    /// plan's observability mode.
+    /// An exact-mode [`simcap::Recorder`] over the pooled RTTs.
     #[must_use]
     pub fn recorder(&self) -> simcap::Recorder {
-        self.samples().recorder()
+        simcap::Recorder::from_times(&self.rtts)
     }
 
     /// RTT standard deviation in microseconds.

@@ -27,12 +27,10 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod cost;
 pub mod fit;
 pub mod machine;
 
-pub use clock::TurboChannelClock;
 pub use cost::{ChecksumImpl, CostModel, CostTables, LinearCost};
 pub use fit::{linear_fit, LinearFit};
 pub use machine::DECSTATION_5000_200;

@@ -34,12 +34,11 @@
 //! # Determinism
 //!
 //! Every process draws from its own [`SimRng`] stream
-//! ([`STREAM_LOSS`], [`STREAM_SHAPER`], [`STREAM_CONTENTION`],
-//! [`STREAM_ETHER_LOSS`]) derived from the experiment seed, so a fault
-//! schedule is a pure function of `(schedule, seed)`: the same seed
-//! reproduces the same drops, swaps and stalls cell-for-cell, at any
-//! sweep worker count. No process ever consults wall-clock time or
-//! global state.
+//! ([`STREAM_LOSS`], [`STREAM_SHAPER`], [`STREAM_CONTENTION`])
+//! derived from the experiment seed, so a fault schedule is a pure
+//! function of `(schedule, seed)`: the same seed reproduces the same
+//! drops, swaps and stalls cell-for-cell, at any sweep worker count.
+//! No process ever consults wall-clock time or global state.
 //!
 //! # Examples
 //!
@@ -71,8 +70,6 @@ pub const STREAM_LOSS: u64 = 0xf1;
 pub const STREAM_SHAPER: u64 = 0xf2;
 /// RNG stream tag for RX-FIFO contention processes.
 pub const STREAM_CONTENTION: u64 = 0xf3;
-/// RNG stream tag for Ethernet frame-loss processes.
-pub const STREAM_ETHER_LOSS: u64 = 0xf4;
 
 /// Parameters of a two-state Gilbert–Elliott burst-loss chain.
 ///

@@ -271,59 +271,6 @@ pub fn check_experiment(exp: &Experiment, seed: u64, set: &InvariantSet) -> Inva
     report
 }
 
-/// [`check_experiment`] with the kernel taps in flight-recorder mode:
-/// the run retains only the last `last_k` frames per tap point, and
-/// the returned snapshots hold the pcapng-ready windows frozen around
-/// every anomaly — kernel-originated triggers (RTO, connection abort)
-/// fire inline, and a post-run freeze captures the final window under
-/// [`simcap::TriggerReason::Invariant`] when a checker fired without
-/// an inline trigger. Runs one captured repetition; only the
-/// per-event checkers of `set` are armed (capture-agreement needs a
-/// full capture, which flight mode deliberately is not).
-///
-/// # Panics
-///
-/// Panics if `last_k` is zero.
-#[must_use]
-pub fn check_experiment_flight(
-    exp: &Experiment,
-    seed: u64,
-    set: &InvariantSet,
-    last_k: usize,
-) -> (InvariantReport, Vec<simcap::TriggerSnapshot>) {
-    let mut report = InvariantReport::default();
-    let (state, obs) = event_checker(*set);
-    let cap = exp
-        .plan()
-        .seed(seed)
-        .observer(obs)
-        .captured()
-        .flight(last_k)
-        .execute();
-    collect(state, &mut report);
-    if set.clock_quantized {
-        check_clock(&cap.result.rtts, &mut report);
-    }
-
-    let mut snapshots: Vec<simcap::TriggerSnapshot> = Vec::new();
-    snapshots.extend(cap.client.snapshots.iter().cloned());
-    snapshots.extend(cap.server.snapshots.iter().cloned());
-    if !report.is_clean() && snapshots.is_empty() {
-        // No inline trigger fired, but a checker did: freeze what the
-        // rings still hold so the postmortem has *some* window.
-        for host in [&cap.client, &cap.server] {
-            if !host.frames.is_empty() {
-                snapshots.push(simcap::TriggerSnapshot {
-                    reason: simcap::TriggerReason::Invariant,
-                    at: cap.result.sim_time,
-                    frames: host.frames.clone(),
-                });
-            }
-        }
-    }
-    (report, snapshots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

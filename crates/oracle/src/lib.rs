@@ -25,8 +25,6 @@ pub mod model;
 pub mod shrink;
 
 pub use golden::{compare_reports, parse_report, Drift, GoldenReport};
-pub use invariants::{
-    check_experiment, check_experiment_flight, InvariantReport, InvariantSet, Violation,
-};
+pub use invariants::{check_experiment, InvariantReport, InvariantSet, Violation};
 pub use model::{predict, predict_dc, PredictError, Prediction};
 pub use shrink::shrink_schedule;

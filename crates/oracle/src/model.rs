@@ -226,10 +226,9 @@ pub fn predict(exp: &Experiment) -> Result<Prediction, PredictError> {
 /// two-host world.
 pub fn predict_dc(topo: &world::Topology) -> Result<Prediction, PredictError> {
     if topo.mitigated() {
-        let policy = topo
-            .tail
-            .map_or_else(|| "tail policy".to_string(), |t| format!("{t:?}"));
-        return Err(PredictError::MitigatedWorld { policy });
+        return Err(PredictError::MitigatedWorld {
+            policy: format!("{:?}", topo.tail),
+        });
     }
     if topo.fanout_width > 0 {
         return Err(PredictError::FanoutWorld {
@@ -1588,10 +1587,10 @@ mod tests {
     #[test]
     fn mitigated_worlds_are_refused_before_the_fanout_check() {
         let mut topo = world::Topology::fanout(4, 16);
-        topo.tail = Some(world::TailPolicy {
+        topo.tail = world::TailPolicy {
             deadline: Some(simkit::SimTime::from_ms(10)),
             ..world::TailPolicy::default()
-        });
+        };
         match predict_dc(&topo) {
             Err(PredictError::MitigatedWorld { policy }) => {
                 assert!(policy.contains("deadline"), "{policy}");
@@ -1600,9 +1599,9 @@ mod tests {
         }
         let msg = predict_dc(&topo).unwrap_err().to_string();
         assert!(msg.contains("tail-tolerant"), "{msg}");
-        // A no-op policy normalizes away: the refusal falls through to
-        // the fan-out check, exactly like the classic world.
-        topo.tail = Some(world::TailPolicy::default());
+        // The no-op policy is wait-for-all: the refusal falls through
+        // to the fan-out check.
+        topo.tail = world::TailPolicy::default();
         assert!(matches!(
             predict_dc(&topo),
             Err(PredictError::FanoutWorld { width: 16 })
@@ -1643,10 +1642,10 @@ mod tests {
         // The mitigation refusal still wins over the cwnd one.
         let mut topo = world::Topology::fanout(4, 16);
         topo.stack.initial_cwnd_segs = Some(2);
-        topo.tail = Some(world::TailPolicy {
+        topo.tail = world::TailPolicy {
             deadline: Some(simkit::SimTime::from_ms(10)),
             ..world::TailPolicy::default()
-        });
+        };
         assert!(matches!(
             predict_dc(&topo),
             Err(PredictError::MitigatedWorld { .. })

@@ -482,11 +482,6 @@ impl<W> Sim<W> {
         self.observer = Some(obs);
     }
 
-    /// Removes the observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Current simulation time.
     #[inline]
     #[must_use]
@@ -819,10 +814,6 @@ mod tests {
         // The observer runs after each handler, with its effects
         // already applied, in execution order.
         assert_eq!(*seen.borrow(), vec![(1, 1000, "a"), (11, 2000, "b")]);
-        sim.clear_observer();
-        sim.schedule(SimTime::from_us(1), "c", |w: &mut u32, _| *w += 100);
-        sim.run();
-        assert_eq!(seen.borrow().len(), 2, "cleared observer stays silent");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 1.3 µs" per entry on the DECstation and discusses three remedies:
 //! a **move-to-front** list (so active connections migrate to the
 //! head), the **last-PCB cache** already described, and "a simple
-//! hash table implementation [that] could eliminate the lookup
+//! hash table implementation \[that\] could eliminate the lookup
 //! problem entirely". All three live behind the [`PcbLookup`] trait;
 //! [`PcbTable`] picks the implementation from the configured
 //! [`PcbOrg`] and cache flag.
@@ -78,6 +78,28 @@ impl std::ops::AddAssign for PcbCounters {
         self.cache_misses += o.cache_misses;
         self.traversed += o.traversed;
         self.hash_probes += o.hash_probes;
+    }
+}
+
+impl PcbCounters {
+    /// Mean list entries traversed per lookup (0 with no lookups).
+    #[must_use]
+    pub fn search_len(&self) -> f64 {
+        if self.lookups == 0 {
+            return 0.0;
+        }
+        self.traversed as f64 / self.lookups as f64
+    }
+
+    /// Single-entry-cache hit rate over the lookups that consulted the
+    /// cache (0 with the cache off).
+    #[must_use]
+    pub fn cache_hit_rate(&self) -> f64 {
+        let probes = self.cache_hits + self.cache_misses;
+        if probes == 0 {
+            return 0.0;
+        }
+        self.cache_hits as f64 / probes as f64
     }
 }
 

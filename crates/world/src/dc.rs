@@ -63,8 +63,6 @@ pub struct DcConn {
     /// `(host, conn)` pair, identical on both endpoints.
     pub ident: (usize, usize),
     state: ConnState,
-    /// Completed RPCs (client) / echoed RPCs (server).
-    pub done_count: u64,
     got: Vec<u8>,
     t_start: SimTime,
     /// Measured RPC round-trip times (client side only).
@@ -94,24 +92,27 @@ pub struct DcConn {
     /// distinct peer server, so the sender identifies the connection
     /// without TCP demultiplexing.
     last_arrival: SimTime,
-    /// Messages fully written on this connection (client side): the
-    /// payload-pattern index of the next outgoing message. Equal to
-    /// `done_count` on classic paths; diverges under application
-    /// retries, which reissue a round's request on the same stream.
+    /// Messages fully written on this connection. On a client, the
+    /// payload-pattern index of the next outgoing request; application
+    /// retries reissue a round's request on the same stream, so on a
+    /// fan-out client it can run ahead of the round. On a server, the
+    /// echoes sent: the pattern index the next request must verify
+    /// against.
     sent: u64,
     /// Full messages read back (client side): the pattern index the
-    /// next incoming echo must verify against.
+    /// next incoming echo must verify against, and on a client outside
+    /// a fan-out host also the completed RPC count.
     rcvd: u64,
     /// Copies of the current round's request written on this stream
-    /// (initial send + retries); mitigated fan-out only.
+    /// (initial send + retries); fan-out clients only.
     round_sent: u32,
-    /// Echoes of the current round received so far; mitigated fan-out
+    /// Echoes of the current round received so far; fan-out clients
     /// only. A connection parks at the barrier only once
-    /// `round_rcvd == round_sent`, draining late retry echoes first.
+    /// `round_rcvd >= round_sent`, draining late retry echoes first.
     round_rcvd: u32,
 }
 
-/// Typed outcome of one logical fan-out request (mitigated worlds).
+/// Typed outcome of one logical fan-out request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// The request completed within its deadline (or no deadline was
@@ -154,15 +155,15 @@ impl std::ops::AddAssign for MitigationCost {
     }
 }
 
-/// Fan-out/wait-for-all bookkeeping for one client host: the host's
-/// `width` connections each carry one sub-request per round, and the
-/// logical request completes when the slowest reply lands.
+/// Fan-out barrier bookkeeping for one client host: the host's
+/// `width` connections each carry one sub-request per round.
 ///
-/// With a [`TailPolicy`] armed the barrier turns into a tail-tolerant
-/// control loop: each of the `width` *slots* resolves at its first
-/// reply (primary or hedged replica), the logical completion is the
-/// K-th smallest slot time capped by the deadline, and late copies
-/// drain through the barrier without being re-measured.
+/// Each of the `width` *slots* resolves at its first reply (primary
+/// or hedged replica), the logical completion is the K-th smallest
+/// slot time capped by the deadline, and late copies drain through
+/// the barrier without being re-measured. Wait-for-all is the no-op
+/// [`TailPolicy`]: K is the width and there is no deadline, so the
+/// completion is the slowest reply.
 pub struct FanoutCtl {
     /// Fan-out width (== the host's primary connection count).
     pub width: usize,
@@ -171,25 +172,18 @@ pub struct FanoutCtl {
     pending: usize,
     /// Completed barrier rounds.
     round: u64,
-    /// Slowest sub-request RTT seen in the current round.
-    round_max: SimTime,
-    /// Per-round completion times, recorded after warm-up: the max
-    /// over the round's sub-request RTTs (wait-for-all), or the
-    /// policy's K-th smallest capped by the deadline (mitigated).
+    /// Per-round completion times, recorded after warm-up: the
+    /// policy's K-th smallest slot time capped by the deadline (the
+    /// slowest sub-request under wait-for-all).
     pub completions: Vec<SimTime>,
     /// Set when the retransmit limit killed one of the host's
     /// sub-request connections: the remaining rounds can never
     /// complete, so the whole fan-out host aborts.
     pub aborted: bool,
-    /// The tail-tolerance policy, normalized: `None` when the
-    /// topology carries no policy *or* an all-default one, so a no-op
-    /// policy runs the classic wait-for-all path event-for-event.
-    tail: Option<TailPolicy>,
-    /// First-reply time of each slot this round (`width` entries in
-    /// mitigated mode, empty otherwise).
+    /// The tail-tolerance policy (the topology's).
+    tail: TailPolicy,
+    /// First-reply time of each slot this round (`width` entries).
     slot_rtt: Vec<Option<SimTime>>,
-    /// When the current round was released.
-    round_start: SimTime,
     /// Retry tokens left in the per-client budget bucket.
     tokens: u32,
     /// The slot hedged this round, if the hedge trigger fired.
@@ -331,43 +325,26 @@ impl DcWorld {
             );
             let mut nic = AtmNic::new(link, costs.clone(), hs);
             nic.mtu = topo.mtu;
-            // Churn uplinks carry no fault schedule: per-cell jitter
-            // would break the FIFO order of a multi-cell AAL5 train
-            // and the reassembler would drop the PDU. The aperiodic
-            // think-time draw is the churn RNG stream instead.
-            if h < measured {
-                if let Some(faults) = &topo.faults {
-                    if topo.faults_apply_to(h) {
-                        nic.arm_faults(faults, hs);
-                    }
-                }
+            if let Some(faults) = topo.faults.as_ref().filter(|_| topo.faults_apply_to(h)) {
+                nic.arm_faults(faults, hs);
             }
-            // A no-op policy normalizes to None: the classic
-            // wait-for-all path runs event-for-event.
-            let tail = topo.tail.filter(|t| !t.is_noop());
             let fanout = (topo.fanout_width > 0 && h < topo.clients).then(|| FanoutCtl {
                 width: topo.fanout_width,
                 pending: topo.fanout_width,
                 round: 0,
-                round_max: SimTime::ZERO,
                 completions: Vec::new(),
                 aborted: false,
-                tail,
-                slot_rtt: if tail.is_some() {
-                    vec![None; topo.fanout_width]
-                } else {
-                    Vec::new()
-                },
-                round_start: SimTime::ZERO,
-                tokens: tail.and_then(|t| t.retry).map_or(0, |r| r.budget),
+                tail: topo.tail,
+                slot_rtt: vec![None; topo.fanout_width],
+                tokens: topo.tail.retry.map_or(0, |r| r.budget),
                 hedged_slot: None,
                 p95: simcap::Recorder::upper_only(),
                 outcomes: Vec::new(),
                 cost: MitigationCost::default(),
             });
-            // Host pause windows follow the fault scope, like every
-            // other injector; churn hosts are never fault-armed.
-            let pause = if h < measured && topo.faults_apply_to(h) {
+            // Host pause windows arm where the fault schedule does,
+            // like every other injector.
+            let pause = if topo.faults_apply_to(h) {
                 topo.faults.as_ref().and_then(|f| f.host_pause)
             } else {
                 None
@@ -477,7 +454,6 @@ impl DcWorld {
                     } else {
                         ConnState::WantWrite(0)
                     },
-                    done_count: 0,
                     got: Vec::new(),
                     t_start: SimTime::ZERO,
                     rtts: Vec::new(),
@@ -500,7 +476,6 @@ impl DcWorld {
                     peer_conn: sock_c,
                     ident: (c, j),
                     state: ConnState::WantRead,
-                    done_count: 0,
                     got: Vec::new(),
                     t_start: SimTime::ZERO,
                     rtts: Vec::new(),
@@ -563,9 +538,10 @@ pub struct DcRunResult {
     pub verify_failures: u64,
     /// Connections that aborted (retransmit limit, under faults).
     pub aborted_conns: u64,
-    /// Fan-out worlds: per-logical-request completion times (the max
-    /// over each round's sub-request RTTs), pooled in client-host
-    /// order. Empty in classic incast mode.
+    /// Fan-out worlds: per-logical-request completion times (the tail
+    /// policy's K-th-fastest sub-request capped by the deadline; the
+    /// slowest one under wait-for-all), pooled in client-host order.
+    /// Empty in incast worlds.
     pub completions: Vec<SimTime>,
     /// Fan-out client hosts whose rounds were cut short by an abort.
     pub fanout_aborts: u64,
@@ -608,10 +584,7 @@ impl DcRunResult {
     /// driver — on the server side.
     #[must_use]
     pub fn server_search_len(&self) -> f64 {
-        if self.server_pcb.lookups == 0 {
-            return 0.0;
-        }
-        self.server_pcb.traversed as f64 / self.server_pcb.lookups as f64
+        self.server_pcb.search_len()
     }
 }
 
@@ -744,10 +717,11 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     for h in 0..clients {
         // A mitigated fan-out host re-arms its control events (hedge
         // trigger, retry timers, token refill) at each round start.
+        // Wait-for-all has none, and its first round needs no arm.
         let mitigated = sim.world.hosts[h]
             .fanout
             .as_ref()
-            .is_some_and(|f| f.tail.is_some());
+            .is_some_and(|f| !f.tail.is_noop());
         if mitigated {
             sim.schedule_raw(
                 sched.start_of(h, 0),
@@ -1020,10 +994,10 @@ fn abort_fanout_host(w: &mut DcWorld, ch: usize) {
 /// loop of the two-host world's app, per connection.
 fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
     let mut now = s.now();
-    // A mitigated fan-out host's round lifecycle is owned by its
-    // control layer (release/record/finish), not by per-connection
-    // done-counts — retries make done_count exceed the round index.
-    let ctl_managed = w.hosts[h].fanout.as_ref().is_some_and(|f| f.tail.is_some());
+    // A fan-out host's round lifecycle is owned by its barrier
+    // (release/record/finish), not by per-connection counts: retries
+    // make a stream's echo count exceed the round index.
+    let fanout = w.hosts[h].fanout.is_some();
     loop {
         let state = w.hosts[h].conns[c].state;
         match state {
@@ -1032,15 +1006,14 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 let host = &mut w.hosts[h];
                 let conn = &mut host.conns[c];
                 let size = conn.size;
-                if conn.client && !ctl_managed && conn.done_count >= conn.total {
+                if conn.client && !fanout && conn.rcvd >= conn.total {
                     finish_client(w, h, c);
                     break;
                 }
                 if conn.client {
-                    // `sent` equals `done_count` on classic paths and
-                    // indexes past any retried copies on mitigated
-                    // ones, so every message on the stream carries a
-                    // distinct pattern.
+                    // `sent` indexes past any retried copies, so every
+                    // message on the stream carries a distinct
+                    // pattern.
                     host.request.clear();
                     host.request
                         .extend(pattern_bytes(size, conn.sent, conn.ident));
@@ -1078,16 +1051,11 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     conn.state = ConnState::WantWrite(offset + out.accepted);
                     break;
                 }
-                if conn.client {
-                    conn.sent += 1;
-                } else {
-                    conn.done_count += 1;
-                }
-                // Mitigated clients clear per-echo in the control
-                // layer instead: a retry write can interleave with a
-                // partially-assembled echo, which must survive the
-                // write.
-                if !(ctl_managed && conn.client) {
+                conn.sent += 1;
+                // Clients clear on each full echo instead: a retry
+                // write can interleave with a partially-assembled
+                // echo, which must survive the write.
+                if !conn.client {
                     conn.got.clear();
                 }
                 conn.state = ConnState::WantRead;
@@ -1120,11 +1088,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 // receive index (echoes land in send order on the
                 // in-order stream, including retried copies); servers
                 // verify against their own echo count.
-                let idx = if conn.client {
-                    conn.rcvd
-                } else {
-                    conn.done_count
-                };
+                let idx = if conn.client { conn.rcvd } else { conn.sent };
                 if !conn
                     .got
                     .iter()
@@ -1137,6 +1101,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     conn.state = ConnState::WantWrite(0);
                     continue;
                 }
+                conn.got.clear();
                 conn.rcvd += 1;
                 // Fan-out sub-requests end when the reply *lands* (the
                 // last train from the peer server); everyone else ends
@@ -1145,34 +1110,24 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 // processing of N near-simultaneous replies out of the
                 // measured completion — it delays the next round, not
                 // this one's slowest-reply arrival.
-                let landed = conn.last_arrival;
-                let is_fanout = landed > SimTime::ZERO && !conn.background;
-                let end = if is_fanout { landed } else { now };
+                let end = if fanout { conn.last_arrival } else { now };
                 let rtt = end.quantized().saturating_since(conn.t_start);
-                if ctl_managed {
-                    // Tail-tolerant round: the control layer decides
-                    // what this echo means (first reply, retry
-                    // duplicate, hedge outcome) and owns the round
-                    // release / host finish.
+                if fanout {
+                    // The barrier decides what this echo means (first
+                    // reply, retry duplicate, hedge outcome) and owns
+                    // the round release / host finish.
                     conn.round_rcvd += 1;
-                    if fanout_reply_tail(w, s, h, c, rtt, end, now) {
+                    if fanout_reply(w, s, h, c, rtt, end, now) {
                         continue;
                     }
                     break;
                 }
-                if !conn.background && conn.done_count >= w.topo.warmup {
+                if !conn.background && conn.rcvd > w.topo.warmup {
                     conn.rtts.push(rtt);
                 }
-                conn.done_count += 1;
                 conn.state = ConnState::WantWrite(0);
                 let think = conn.think;
-                let rounds = conn.done_count;
-                if w.hosts[h].fanout.is_some() {
-                    // The sub-request is done; the logical request is
-                    // done when the host's slowest one is.
-                    fanout_reply(w, s, h, c, rtt, now);
-                    break;
-                }
+                let rounds = conn.rcvd;
                 if think > SimTime::ZERO {
                     // Churn pacing: idle before the next round, drawn
                     // uniformly from [think, 2*think). A fixed period
@@ -1192,66 +1147,19 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
     }
 }
 
-/// A fan-out sub-request's reply landed on client host `h`: update
-/// the wait-for-all barrier. The last reply of a round records the
-/// logical completion (the round's slowest sub-request RTT) and
-/// either releases every connection into the next round or, after the
-/// final round, finishes the host.
-fn fanout_reply(
-    w: &mut DcWorld,
-    s: &mut Scheduler<DcWorld>,
-    h: usize,
-    c: usize,
-    rtt: SimTime,
-    now: SimTime,
-) {
-    let warmup = w.topo.warmup;
-    let total = w.hosts[h].conns[c].total;
-    let (pending, round, width) = {
-        let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        ctl.round_max = ctl.round_max.max(rtt);
-        ctl.pending -= 1;
-        (ctl.pending, ctl.round, ctl.width)
-    };
-    if pending > 0 {
-        w.hosts[h].conns[c].state = ConnState::AtBarrier;
-        return;
-    }
-    {
-        let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        if round >= warmup {
-            let done = ctl.round_max;
-            ctl.completions.push(done);
-        }
-        ctl.round += 1;
-        ctl.round_max = SimTime::ZERO;
-    }
-    if round + 1 >= total {
-        for j in 0..w.hosts[h].conns.len() {
-            finish_client(w, h, j);
-        }
-        return;
-    }
-    w.hosts[h].fanout.as_mut().expect("fan-out host").pending = width;
-    let at = now.max(s.now());
-    for j in 0..w.hosts[h].conns.len() {
-        w.hosts[h].conns[j].state = ConnState::WantWrite(0);
-        s.schedule_raw_at(at, "dc-fanout-next", conn_step_raw, pack(h, j));
-    }
-}
-
-/// The mitigated counterpart of [`fanout_reply`]: one full echo
-/// arrived on connection `c` of tail-tolerant fan-out host `h`.
+/// The fan-out barrier: one full echo arrived on connection `c` of
+/// fan-out client host `h`.
 ///
 /// Returns `true` when the connection should keep reading (late retry
 /// copies of the round are still in flight on its stream) and `false`
-/// when it parked or the round ended. The round barrier itself is
-/// unchanged — every stream drains before release — but the *recorded*
-/// completion is the policy's: the K-th smallest slot time capped by
-/// the deadline. Slots slower than that are counted as cancelled
-/// stragglers; they drain through the barrier without being
-/// re-measured (see DESIGN §2.17 on observational cancellation).
-fn fanout_reply_tail(
+/// when it parked or the round ended. Every stream drains before the
+/// round is released, but the *recorded* completion is the policy's:
+/// the K-th smallest slot time capped by the deadline, which under
+/// wait-for-all is the slowest slot. Slots slower than that are
+/// counted as cancelled stragglers; they drain through the barrier
+/// without being re-measured (see DESIGN §2.17 on observational
+/// cancellation).
+fn fanout_reply(
     w: &mut DcWorld,
     s: &mut Scheduler<DcWorld>,
     h: usize,
@@ -1265,7 +1173,6 @@ fn fanout_reply_tail(
     let width = w.hosts[h].fanout.as_ref().expect("fan-out host").width;
     let slot = if c < width { c } else { c - width };
     let first_echo = w.hosts[h].conns[c].round_rcvd == 1;
-    w.hosts[h].conns[c].got.clear();
     if first_echo {
         // A slot resolves at its first reply from either path; a
         // replica's reply is timed from the *primary's* request start,
@@ -1320,7 +1227,7 @@ fn fanout_reply_tail(
     let mut deadline_hit = false;
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        let tail = ctl.tail.expect("mitigated fan-out host");
+        let tail = ctl.tail;
         let mut times: Vec<SimTime> = ctl
             .slot_rtt
             .iter()
@@ -1391,10 +1298,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
         if ctl.aborted {
             return;
         }
-        let Some(tail) = ctl.tail else {
-            return;
-        };
-        ctl.round_start = at;
+        let tail = ctl.tail;
         for slot in ctl.slot_rtt.iter_mut() {
             *slot = None;
         }
@@ -1472,7 +1376,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
         };
         // Stale trigger (the round already ended), an aborted host, or
         // a round that already hedged: no-op.
-        if ctl.aborted || ctl.tail.is_none() || ctl.round != round || ctl.hedged_slot.is_some() {
+        if ctl.aborted || ctl.round != round || ctl.hedged_slot.is_some() {
             return;
         }
         // "Slowest outstanding": the round's sub-requests all started
@@ -1536,7 +1440,7 @@ fn on_retry(
         let Some(ctl) = w.hosts[h].fanout.as_ref() else {
             return;
         };
-        let Some(rp) = ctl.tail.and_then(|t| t.retry) else {
+        let Some(rp) = ctl.tail.retry else {
             return;
         };
         if ctl.aborted || (ctl.round & 0xf_ffff) != round || ctl.slot_rtt[slot].is_some() {
@@ -1772,24 +1676,6 @@ mod tests {
     }
 
     #[test]
-    fn noop_tail_policy_is_byte_identical_to_classic() {
-        // An all-default TailPolicy normalizes away: the classic
-        // wait-for-all path must run event-for-event.
-        let mut t = Topology::fanout(2, 4);
-        t.iterations = 2;
-        t.warmup = 1;
-        let classic = run_dc(&t, TrafficSchedule::staggered(), 5);
-        t.tail = Some(crate::topology::TailPolicy::default());
-        let noop = run_dc(&t, TrafficSchedule::staggered(), 5);
-        assert_eq!(classic.rtts, noop.rtts);
-        assert_eq!(classic.completions, noop.completions);
-        assert_eq!(classic.events, noop.events);
-        assert_eq!(classic.sim_time, noop.sim_time);
-        assert_eq!(noop.cost.hedges_issued, 0);
-        assert_eq!(noop.cost.retries_issued, 0);
-    }
-
-    #[test]
     fn deadline_caps_completions_and_types_the_outcome() {
         let mut t = Topology::fanout(1, 4);
         t.iterations = 4;
@@ -1801,10 +1687,10 @@ mod tests {
         // in exactly the same time.)
         let slowest = base.completions.iter().copied().max().unwrap();
         let deadline = SimTime::from_ns(slowest.as_ns() - 40);
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = crate::topology::TailPolicy {
             deadline: Some(deadline),
             ..Default::default()
-        });
+        };
         let capped = run_dc(&t, TrafficSchedule::staggered(), 3);
         assert_eq!(capped.completions.len(), base.completions.len());
         assert!(
@@ -1828,14 +1714,14 @@ mod tests {
         let mut t = Topology::fanout(1, 4);
         t.iterations = 6;
         t.warmup = 1;
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = crate::topology::TailPolicy {
             hedge: Some(crate::topology::HedgePolicy {
                 // Hedge almost immediately so every round hedges.
                 delay: Some(SimTime::from_us(100)),
                 ..Default::default()
             }),
             ..Default::default()
-        });
+        };
         let r = run_dc(&t, TrafficSchedule::staggered(), 7);
         assert_eq!(r.completions.len(), 6);
         assert_eq!(r.verify_failures, 0);
@@ -1852,7 +1738,7 @@ mod tests {
         let mut t = Topology::fanout(1, 2);
         t.iterations = 4;
         t.warmup = 0;
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = crate::topology::TailPolicy {
             retry: Some(crate::topology::RetryPolicy {
                 max_attempts: 4,
                 // Backoff far below the RTT: every attempt fires
@@ -1863,7 +1749,7 @@ mod tests {
                 refill: 1,
             }),
             ..Default::default()
-        });
+        };
         let r = run_dc(&t, TrafficSchedule::staggered(), 11);
         assert_eq!(r.completions.len(), 4);
         assert_eq!(r.verify_failures, 0, "retried echoes must still verify");

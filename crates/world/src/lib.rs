@@ -28,7 +28,7 @@
 //! parallel sub-requests to N distinct servers, completing when the
 //! slowest reply lands — optionally with background churn traffic
 //! ([`topology::ChurnTraffic`]) sharing the fabric and fault
-//! schedules scoped to the servers ([`topology::FaultScope`]).
+//! schedules armed on the servers ([`Topology::faults`]).
 //!
 //! On top of the fan-out world sits the tail-tolerant RPC control
 //! layer (the `repro hedge` study): a [`topology::TailPolicy`] arms
@@ -52,6 +52,5 @@ pub use study::{
     DcCell, DcCellResult, DcStudy, HedgeStudy, Mitigation, Study, StudyCell, TailsStudy, STUDIES,
 };
 pub use topology::{
-    ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,
-    TrafficSchedule,
+    ChurnTraffic, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology, TrafficSchedule,
 };

@@ -43,8 +43,7 @@ use tcpip::{CcVariant, PcbCounters};
 
 use crate::dc::{run_dc, MitigationCost};
 use crate::topology::{
-    ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,
-    TrafficSchedule,
+    ChurnTraffic, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology, TrafficSchedule,
 };
 
 /// One grid cell: a named, self-contained world description.
@@ -139,20 +138,13 @@ impl DcCellResult {
     /// Mean traversed entries per server-side lookup.
     #[must_use]
     pub fn search_len(&self) -> f64 {
-        if self.server_pcb.lookups == 0 {
-            return 0.0;
-        }
-        self.server_pcb.traversed as f64 / self.server_pcb.lookups as f64
+        self.server_pcb.search_len()
     }
 
     /// Server-side single-entry-cache hit rate (0 with the cache off).
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.server_pcb.cache_hits + self.server_pcb.cache_misses;
-        if probes == 0 {
-            return 0.0;
-        }
-        self.server_pcb.cache_hits as f64 / probes as f64
+        self.server_pcb.cache_hit_rate()
     }
 }
 
@@ -452,7 +444,6 @@ fn fanout_cell(
     topo.warmup = depth.warmup;
     if !sc.faults.is_clean() {
         topo.faults = Some(sc.faults);
-        topo.fault_scope = FaultScope::ServersOnly;
     }
     if reno {
         topo.mtu = 1500;
@@ -540,8 +531,8 @@ impl Study for DcStudy {
                 r.key.trim_start_matches("dc/"),
                 r.rtts.len(),
                 rec.mean_us(),
-                rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
-                rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
+                percentile_us(&rec, 50.0),
+                percentile_us(&rec, 99.0),
                 r.search_len(),
                 r.cache_hit_rate() * 100.0,
                 r.switch_drops,
@@ -704,6 +695,16 @@ impl<'c> FanoutRow<'c> {
     }
 }
 
+/// Nanoseconds as the µs every study table and report prints.
+fn us(ns: i64) -> f64 {
+    ns as f64 / 1_000.0
+}
+
+/// The `p`-th percentile of `rec` in µs; 0 when `rec` is empty.
+fn percentile_us(rec: &simcap::Recorder, p: f64) -> f64 {
+    us(rec.percentile_ns(p).unwrap_or(0))
+}
+
 /// Reduces one cell's completion times to a row. The amplification
 /// columns start `None`; [`amplify`] fills them once every row of the
 /// study exists.
@@ -714,14 +715,13 @@ fn reduce<'c>(
     cost: MitigationCost,
 ) -> FanoutRow<'c> {
     let rec = completions.recorder();
-    let us = |ns: i64| ns as f64 / 1000.0;
     FanoutRow {
         cell,
         samples: completions.len() as u64,
         aborted,
         mean_us: rec.mean_us(),
-        p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-        p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
+        p50_us: percentile_us(&rec, 50.0),
+        p99_us: percentile_us(&rec, 99.0),
         p999_us: rec.p999_ns().map(us),
         max_us: us(rec.max_ns().unwrap_or(0)),
         amp_p50: None,
@@ -1006,31 +1006,29 @@ impl Mitigation {
 /// clean up) fails the run like in every study.
 pub struct HedgeStudy;
 
-/// Maps a study mitigation onto the world's [`TailPolicy`].
-///
-/// `None` for the baseline: the topology carries no policy at all, so
-/// the cell runs the classic wait-for-all path event-for-event.
+/// Maps a study mitigation onto the world's [`TailPolicy`]; the
+/// baseline is the no-op policy, wait-for-all.
 #[must_use]
-pub fn mitigation_policy(m: Mitigation, width: usize) -> Option<TailPolicy> {
+pub fn mitigation_policy(m: Mitigation, width: usize) -> TailPolicy {
     match m {
-        Mitigation::None => None,
-        Mitigation::Deadline => Some(TailPolicy {
+        Mitigation::None => TailPolicy::default(),
+        Mitigation::Deadline => TailPolicy {
             deadline: Some(SimTime::from_ms(10)),
             ..TailPolicy::default()
-        }),
-        Mitigation::Retry => Some(TailPolicy {
+        },
+        Mitigation::Retry => TailPolicy {
             retry: Some(RetryPolicy::default()),
             ..TailPolicy::default()
-        }),
-        Mitigation::Hedge => Some(TailPolicy {
+        },
+        Mitigation::Hedge => TailPolicy {
             hedge: Some(HedgePolicy::default()),
             ..TailPolicy::default()
-        }),
-        Mitigation::HedgeQuorum => Some(TailPolicy {
+        },
+        Mitigation::HedgeQuorum => TailPolicy {
             hedge: Some(HedgePolicy::default()),
             quorum: width.saturating_sub(2).max(1),
             ..TailPolicy::default()
-        }),
+        },
     }
 }
 
@@ -1269,7 +1267,6 @@ struct CcRow {
 impl CcRow {
     fn new(c: &StudyCell, r: &DcCellResult) -> CcRow {
         let rec = r.rtts.recorder();
-        let us = |ns: i64| ns as f64 / 1_000.0;
         let rpc_bits = (c.cell.topo.rpc_size * 2 * 8) as f64;
         let mean_us = r.rtts.mean_us();
         CcRow {
@@ -1278,8 +1275,8 @@ impl CcRow {
             } else {
                 0.0
             },
-            p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-            p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
+            p50_us: percentile_us(&rec, 50.0),
+            p99_us: percentile_us(&rec, 99.0),
             max_us: us(rec.max_ns().unwrap_or(0)),
         }
     }
@@ -1720,8 +1717,7 @@ mod tests {
         assert!(g
             .iter()
             .any(|c| c.cell.topo.fanout_width == 16 && c.cell.topo.churn.is_some()));
-        // Clean cells carry no fault schedule; faulty cells scope the
-        // schedule to servers so client NICs stay pristine.
+        // Clean cells carry no fault schedule.
         for c in &g {
             let churn = c.cell.topo.churn.is_some();
             assert_eq!(c.cell.key.contains("/churn/"), churn, "{}", c.cell.key);
@@ -1731,7 +1727,6 @@ mod tests {
                 assert!(c.cell.topo.faults.is_none());
             } else {
                 assert!(c.cell.topo.faults.is_some());
-                assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
             }
         }
         let full = TailsStudy.grid(false);
@@ -1770,8 +1765,8 @@ mod tests {
         for c in &g {
             assert_eq!(c.cell.topo.fanout_width, 16);
             match c.mitigation {
-                Mitigation::None => assert!(c.cell.topo.tail.is_none()),
-                _ => assert!(c.cell.topo.tail.is_some()),
+                Mitigation::None => assert!(!c.cell.topo.mitigated()),
+                _ => assert!(c.cell.topo.mitigated()),
             }
             // Hedging doubles the server blocks (replicas); the other
             // mitigations must not.
@@ -1781,7 +1776,6 @@ mod tests {
                 assert!(c.cell.topo.faults.is_none());
             } else {
                 assert!(c.cell.topo.faults.is_some());
-                assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
             }
         }
         assert!(g.iter().any(|c| c.scenario == "host-pause"));
@@ -1810,11 +1804,11 @@ mod tests {
 
     #[test]
     fn hedge_kofn_policy_sets_the_quorum() {
-        let p = mitigation_policy(Mitigation::HedgeQuorum, 16).unwrap();
+        let p = mitigation_policy(Mitigation::HedgeQuorum, 16);
         assert_eq!(p.quorum, 14);
         assert!(p.hedge.is_some());
-        assert_eq!(mitigation_policy(Mitigation::None, 16), None);
-        let d = mitigation_policy(Mitigation::Deadline, 16).unwrap();
+        assert!(mitigation_policy(Mitigation::None, 16).is_noop());
+        let d = mitigation_policy(Mitigation::Deadline, 16);
         assert_eq!(d.deadline, Some(SimTime::from_ms(10)));
     }
 

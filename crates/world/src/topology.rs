@@ -70,19 +70,6 @@ impl PcbStrategy {
     }
 }
 
-/// Which hosts a [`Topology::faults`] schedule is armed on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultScope {
-    /// Every measured host (clients and servers) — the `repro dc`
-    /// behavior. Background churn hosts are never fault-armed; their
-    /// only randomness is the aperiodic think-time draw.
-    AllHosts,
-    /// Server hosts only: the tails study's "server hiccup" story,
-    /// where the client fabric is healthy and the slowness lives on
-    /// the far side of the fan-out.
-    ServersOnly,
-}
-
 /// Background best-effort traffic sharing the fabric with the
 /// measured flows.
 ///
@@ -223,10 +210,9 @@ impl Default for HedgePolicy {
 
 /// Tail-tolerance policy for fan-out worlds, as plain data.
 ///
-/// `None` on [`Topology::tail`] (or an all-default policy) reproduces
-/// the PR-7 wait-for-all behavior event-for-event: no control events
-/// are scheduled, no replica servers exist, and no extra RNG is drawn
-/// — the existing goldens cannot move.
+/// The default (all-off) policy is wait-for-all: the round completes
+/// at the slowest reply, no control events are scheduled, no replica
+/// servers exist, and no extra RNG is drawn.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TailPolicy {
     /// Per-logical-request deadline: a round still outstanding at the
@@ -293,10 +279,12 @@ pub struct Topology {
     /// drops it to 1500 — the classical-IP-over-ATM LIS configuration
     /// — so windows hold enough segments for dup-ACK-driven recovery.
     pub mtu: usize,
-    /// Optional fault schedule armed on every host's uplink.
+    /// Optional fault schedule, armed on the server hosts only: the
+    /// "server hiccup" story, where the client fabric is healthy and
+    /// the slowness lives on the far side of the fan-out. Background
+    /// churn hosts are never fault-armed; their only randomness is
+    /// the aperiodic think-time draw.
     pub faults: Option<faultkit::FaultSchedule>,
-    /// Hosts the fault schedule is armed on.
-    pub fault_scope: FaultScope,
     /// Fan-out width N (0 = classic incast wiring). When positive,
     /// `conns_per_host` must equal the width: connection `j` of client
     /// `h` goes to server `clients + h * fanout_width + j`, its own
@@ -304,11 +292,12 @@ pub struct Topology {
     pub fanout_width: usize,
     /// Optional background churn traffic.
     pub churn: Option<ChurnTraffic>,
-    /// Optional tail-tolerance policy (fan-out worlds only). With a
-    /// hedge policy armed, every client's server block doubles: its
-    /// first `fanout_width` connections go to the primaries, the next
-    /// `fanout_width` to the replicas.
-    pub tail: Option<TailPolicy>,
+    /// Tail-tolerance policy (fan-out worlds only); the default is
+    /// the no-op policy, wait-for-all. With a hedge policy armed,
+    /// every client's server block doubles: its first `fanout_width`
+    /// connections go to the primaries, the next `fanout_width` to
+    /// the replicas.
+    pub tail: TailPolicy,
 }
 
 impl Topology {
@@ -329,10 +318,9 @@ impl Topology {
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
             faults: None,
-            fault_scope: FaultScope::AllHosts,
             fanout_width: 0,
             churn: None,
-            tail: None,
+            tail: TailPolicy::default(),
         }
     }
 
@@ -356,10 +344,9 @@ impl Topology {
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
             faults: None,
-            fault_scope: FaultScope::AllHosts,
             fanout_width: width,
             churn: None,
-            tail: None,
+            tail: TailPolicy::default(),
         }
     }
 
@@ -372,14 +359,14 @@ impl Topology {
     /// Whether any tail-tolerance mitigation is armed.
     #[must_use]
     pub fn mitigated(&self) -> bool {
-        self.tail.as_ref().is_some_and(|t| !t.is_noop())
+        !self.tail.is_noop()
     }
 
     /// Whether the fan-out server blocks carry replicas (hedging
     /// armed).
     #[must_use]
     pub fn replicated(&self) -> bool {
-        self.fanout_width > 0 && self.tail.as_ref().is_some_and(|t| t.hedge.is_some())
+        self.fanout_width > 0 && self.tail.hedge.is_some()
     }
 
     /// Connections per fan-out client host: one per primary server,
@@ -474,13 +461,11 @@ impl Topology {
         }
     }
 
-    /// Whether the fault schedule is armed on host `h`.
+    /// Whether the fault schedule is armed on host `h`: the server
+    /// hosts only.
     #[must_use]
     pub fn faults_apply_to(&self, h: usize) -> bool {
-        match self.fault_scope {
-            FaultScope::AllHosts => h < self.measured_hosts(),
-            FaultScope::ServersOnly => (self.clients..self.measured_hosts()).contains(&h),
-        }
+        (self.clients..self.measured_hosts()).contains(&h)
     }
 
     /// The IP address of host `h`.
@@ -565,10 +550,10 @@ mod tests {
         assert_eq!(t.servers(), 6);
         assert_eq!(t.fanout_conns(), 3);
         assert!(!t.replicated() && !t.mitigated());
-        t.tail = Some(TailPolicy {
+        t.tail = TailPolicy {
             hedge: Some(HedgePolicy::default()),
             ..TailPolicy::default()
-        });
+        };
         assert!(t.replicated() && t.mitigated());
         assert_eq!(t.servers(), 12);
         assert_eq!(t.fanout_conns(), 6);
@@ -581,15 +566,15 @@ mod tests {
         assert_eq!(t.peer_server(1, 0), 8);
         assert_eq!(t.peer_server(1, 5), 13);
         // A non-hedge mitigation leaves the wiring untouched.
-        t.tail = Some(TailPolicy {
+        t.tail = TailPolicy {
             deadline: Some(SimTime::from_ms(10)),
             ..TailPolicy::default()
-        });
+        };
         assert!(t.mitigated() && !t.replicated());
         assert_eq!(t.servers(), 6);
         assert_eq!(t.conns_of(0), 3);
         // An all-default policy is a no-op.
-        t.tail = Some(TailPolicy::default());
+        t.tail = TailPolicy::default();
         assert!(!t.mitigated());
     }
 
@@ -690,18 +675,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_scope_selects_hosts() {
+    fn faults_arm_servers_only() {
         let mut t = Topology::fanout(2, 4);
         t.churn = Some(ChurnTraffic::background());
-        assert!(t.faults_apply_to(0), "AllHosts arms clients");
-        assert!(t.faults_apply_to(9), "AllHosts arms servers");
+        // Hosts 0-1 are clients, 2-9 servers, 10 the churn host.
+        for h in 0..2 {
+            assert!(!t.faults_apply_to(h), "client {h} is never fault-armed");
+        }
+        for h in 2..10 {
+            assert!(t.faults_apply_to(h), "server {h} is fault-armed");
+        }
         assert!(!t.faults_apply_to(10), "churn hosts are never fault-armed");
-        t.fault_scope = FaultScope::ServersOnly;
-        assert!(!t.faults_apply_to(0));
-        assert!(!t.faults_apply_to(1));
-        assert!(t.faults_apply_to(2));
-        assert!(t.faults_apply_to(9));
-        assert!(!t.faults_apply_to(10));
+        let inc = Topology::incast(4, 2, 1);
+        assert!(!inc.faults_apply_to(3));
+        assert!(inc.faults_apply_to(4) && inc.faults_apply_to(5));
+        assert!(!inc.faults_apply_to(6));
     }
 
     #[test]

@@ -5,11 +5,17 @@
 
 use simkit::SimTime;
 use world::dc::run_dc_world;
-use world::{run_dc_cells, ChurnTraffic, Study, TailsStudy, Topology, TrafficSchedule};
+use world::{
+    run_dc_cells, ChurnTraffic, MitigationCost, RequestOutcome, Study, TailsStudy, Topology,
+    TrafficSchedule,
+};
 
 /// Sweep fan-out widths x seeds x churn on/off and check, round by
 /// round, that every recorded completion equals the max of that
-/// round's sub-request RTTs across the host's connections.
+/// round's sub-request RTTs across the host's connections. The
+/// default (no-op) tail policy is wait-for-all: it costs nothing (no
+/// hedge, retry, deadline miss or cancelled straggler) and types every
+/// request `Ok`.
 #[test]
 fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
     for &width in &[1usize, 2, 3, 5, 8] {
@@ -32,6 +38,16 @@ fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
                         ctl.completions.len(),
                         t.iterations as usize,
                         "width {width} seed {seed} churn {churn}: measured rounds"
+                    );
+                    assert_eq!(
+                        ctl.cost,
+                        MitigationCost::default(),
+                        "width {width} seed {seed} churn {churn}: wait-for-all cost"
+                    );
+                    assert_eq!(ctl.outcomes.len(), t.iterations as usize);
+                    assert!(
+                        ctl.outcomes.iter().all(|&o| o == RequestOutcome::Ok),
+                        "width {width} seed {seed} churn {churn}: outcomes"
                     );
                     for (r, &done) in ctl.completions.iter().enumerate() {
                         let slowest = (0..width)

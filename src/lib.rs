@@ -18,7 +18,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`simkit`] | Discrete-event engine, 40 ns clock, CPU occupancy model, deterministic RNG |
-//! | [`decstation`] | Calibrated DECstation 5000/200 cost model and the TurboChannel measurement clock |
+//! | [`decstation`] | Calibrated DECstation 5000/200 cost model |
 //! | [`mbuf`] | BSD mbuf subsystem: 108-byte mbufs, 4 KB refcounted clusters, `m_copy` semantics |
 //! | [`cksum`] | Internet checksum algorithms (ULTRIX, optimized, integrated copy+checksum), partial-sum algebra, CRC-10/32/HEC |
 //! | [`atm`] | 53-byte cells, AAL3/4 and AAL5 SAR, FORE TCA-100 FIFO model, fiber link with fault injection |

@@ -9,7 +9,7 @@ use latency_core::experiment::{Experiment, NetKind};
 use proptest::prelude::*;
 use simkit::SimTime;
 use sweep::Sweep;
-use world::{run_dc, FaultScope, HedgePolicy, RetryPolicy, TailPolicy, Topology, TrafficSchedule};
+use world::{run_dc, HedgePolicy, RetryPolicy, TailPolicy, Topology, TrafficSchedule};
 
 /// Scales a `u16` draw onto `[0, max_prob]`.
 fn prob(raw: u16, max_prob: f64) -> f64 {
@@ -139,16 +139,15 @@ proptest! {
             if mitigated {
                 // Every mitigation at once: the injectors must compose
                 // with deadlines, retries, hedging, and partial fan-out.
-                t.tail = Some(TailPolicy {
+                t.tail = TailPolicy {
                     deadline: Some(SimTime::from_ms(10)),
                     retry: Some(RetryPolicy::default()),
                     hedge: Some(HedgePolicy::default()),
                     quorum: 3,
-                });
+                };
             }
             if !f.is_clean() {
                 t.faults = Some(f);
-                t.fault_scope = FaultScope::ServersOnly;
             }
             t
         };
